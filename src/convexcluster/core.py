@@ -84,6 +84,20 @@ def all_pairs(m: int) -> np.ndarray:
     return np.column_stack([ii, jj]).astype(np.int64)
 
 
+def pair_sqdist(A: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Squared distance ||A_i - A_j||^2 for each row (i, j) of ``pairs``.
+
+    Columns are summed in order, as ``pdist(A, "sqeuclidean")`` does, so the
+    values match it bit for bit; ``np.sum(d**2, axis=1)`` sums pairwise and
+    differs in the last bit once there are 8 or more columns.
+    """
+    d = A[pairs[:, 0]] - A[pairs[:, 1]]
+    out = d[:, 0] * d[:, 0]
+    for col in d.T[1:]:
+        out += col * col
+    return out
+
+
 def pair_pos(i: int, j: int, m: int) -> int:
     """0-based row position of pair (i, j) (0-based, i < j) in the operator."""
     if not (0 <= i < j < m):
@@ -120,6 +134,15 @@ def pair_from_row_index(p: int, m: int) -> tuple[int, int]:
     return i + 1, j + 1
 
 
+def first_occurrence_ranks(labels) -> np.ndarray:
+    """Relabel arbitrary cluster ids to 0..K-1, numbered by first occurrence."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size == 0:
+        raise ValueError("labels must be a non-empty 1-d sequence")
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
 def contiguous_order(labels) -> np.ndarray:
     """Permutation putting each cluster into a contiguous block.
 
@@ -127,18 +150,7 @@ def contiguous_order(labels) -> np.ndarray:
     inside each cluster is preserved.  Apply as ``A[perm]`` and invert with
     ``np.argsort(perm)``.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError("labels must be a non-empty 1-d sequence")
-    _, first_rank = np.unique(labels, return_inverse=True)
-    # re-rank by first occurrence rather than label value
-    order_of_value: dict[int, int] = {}
-    ranks = np.empty(labels.size, dtype=np.int64)
-    for pos, v in enumerate(first_rank):
-        if v not in order_of_value:
-            order_of_value[v] = len(order_of_value)
-        ranks[pos] = order_of_value[v]
-    return np.argsort(ranks, kind="stable")
+    return np.argsort(first_occurrence_ranks(labels), kind="stable")
 
 
 @dataclass(frozen=True)

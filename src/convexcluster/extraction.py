@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from .core import check_data, pos_pair
+from .core import check_data, first_occurrence_ranks, pair_sqdist
 from .solver import SolverConfig, SolverState, admm_solve
 from .weights import EdgeSet
 
@@ -22,54 +24,27 @@ class Assignment:
 
 def canonical_labels(raw) -> Assignment:
     """Relabel arbitrary cluster ids to 0..k-1 by first occurrence."""
-    raw = np.asarray(raw)
-    if raw.ndim != 1 or raw.size == 0:
-        raise ValueError("labels must be a non-empty 1-d sequence")
-    mapping: dict = {}
-    out = np.empty(raw.size, dtype=np.int64)
-    for pos, v in enumerate(raw.tolist()):
-        if v not in mapping:
-            mapping[v] = len(mapping)
-        out[pos] = mapping[v]
-    return Assignment(labels=out, k=len(mapping))
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+    labels = first_occurrence_ranks(raw)
+    return Assignment(labels=labels, k=int(labels.max()) + 1)
 
 
 def extract_clusters(X, merge_tol: float = 1e-8) -> Assignment:
-    """Group rows whose pairwise distance is at most ``merge_tol``.
+    """Connected components of the graph joining rows at distance <= ``merge_tol``.
 
-    Merging is transitive (union-find over all pairs), so chains of
+    The boundary is inclusive, and merging is transitive, so chains of
     borderline rows collapse into one cluster.  ``merge_tol=0`` groups only
-    exactly equal rows.
+    exactly equal rows.  Distances are the values ``pdist(X)`` gives; the k-d
+    tree only proposes candidate pairs, with a relative 1e-9 margin for its
+    own rounding.
     """
     X = check_data(X)
     if merge_tol < 0:
         raise ValueError(f"merge_tol must be >= 0, got {merge_tol}")
     m = X.shape[0]
-    if m == 1:
-        return Assignment(labels=np.zeros(1, dtype=np.int64), k=1)
-    close = pdist(X) <= merge_tol
-    uf = _UnionFind(m)
-    for p in np.nonzero(close)[0]:
-        i, j = pos_pair(int(p), m)
-        uf.union(i, j)
-    return canonical_labels([uf.find(i) for i in range(m)])
+    pairs = cKDTree(X).query_pairs(merge_tol * (1.0 + 1e-9), output_type="ndarray")
+    pairs = pairs[np.sqrt(pair_sqdist(X, pairs)) <= merge_tol]
+    graph = sp.coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(m, m))
+    return canonical_labels(connected_components(graph, directed=False)[1])
 
 
 @dataclass(frozen=True)

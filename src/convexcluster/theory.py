@@ -8,9 +8,13 @@ All regularization values are in the ``paper`` objective convention
 (fidelity ||A - X||_F^2); the solver converts internally when driven with
 that convention.
 
-The interval formulas are evaluated after mandatory column centering and an
-internal permutation to contiguous cluster blocks; both leave every reported
-quantity unchanged, so callers never need to pre-process.
+The interval formulas are evaluated on the column-centered data A~, which
+leaves every reported quantity unchanged.  Clusters are numbered by first
+occurrence in ``labels``, and every per-cluster field of a report (sizes,
+diameters, eps, tau pairs) uses that order.  No C(m,2)-row B = D A~ is built:
+tau^{k,l}, the sum of the between rows of B over m_k m_l, is the difference of
+the centered cluster means, and kernel weights come from per-cluster ``pdist``
+and between-cluster ``cdist``.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist
 
-from .core import center_columns, check_data, contiguous_order, difference_operator, index_sets
+from .core import center_columns, check_data, first_occurrence_ranks
 from .metrics import SeparationStats, cluster_geometry, _check_labels
 
 
@@ -46,14 +51,9 @@ def separation_check(A, labels) -> SeparationReport:
     if values.size < 2:
         raise ValueError("separation needs at least 2 clusters")
     stats = cluster_geometry(A, labels)
-    means = np.stack([A[labels == v].mean(axis=0) for v in values])
-    distinct = True
-    for i in range(values.size):
-        for j in range(i + 1, values.size):
-            if np.any(means[i] == means[j]):
-                distinct = False
+    _, zero_dims, _ = _mean_differences([A[labels == v] for v in values])
     return SeparationReport(separated=bool(stats.min_dist > stats.max_dia),
-                            stats=stats, means_distinct=distinct)
+                            stats=stats, means_distinct=not any(zero_dims.values()))
 
 
 def r_lower_bound(sizes, d: float, diameters) -> float:
@@ -139,33 +139,48 @@ def _epsilons(sizes: np.ndarray) -> np.ndarray:
 
 
 def _prepared(A, labels):
-    """Center, permute to contiguous blocks, and evaluate B = D A~ and gamma."""
+    """Number clusters by first occurrence and split the centered rows by cluster.
+
+    Returns the data, the labels renumbered 0..K-1 in first-occurrence order,
+    the cluster sizes, each cluster's centered rows (input order kept) and the
+    largest within-cluster squared distance (NaN when no cluster has 2 rows).
+    """
     A = check_data(A)
     labels = _check_labels(labels, A.shape[0])
-    perm = contiguous_order(labels)
-    Ap = A[perm]
-    lp = labels[perm]
-    sets = index_sets(lp)
-    At = center_columns(Ap).centered
-    B = np.asarray(difference_operator(Ap.shape[0]) @ At)
-    return Ap, lp, sets, B
+    ranks = first_occurrence_ranks(labels)
+    centered = center_columns(A).centered
+    groups = [centered[ranks == k] for k in range(ranks.max() + 1)]
+    within = [pdist(g, "sqeuclidean").max() for g in groups if g.shape[0] >= 2]
+    within_d2 = float(max(within)) if within else math.nan
+    return A, ranks, tuple(g.shape[0] for g in groups), groups, within_d2
 
 
-def _kappa_lower(gamma, sets, diameters) -> tuple[float, bool]:
-    """max over clusters and within pairs of eps_i * dia_i / denominator.
+def _mean_differences(groups):
+    """tau^{k,l} = mean_k - mean_l for every cluster pair k < l.
 
-    Every denominator gamma_p - 4 (m - m_i)/m_i * max_between(gamma) must be
-    positive; otherwise the sign condition fails and the pair is infeasible.
+    Returns the taus, the dimensions where each vanishes, and the smallest
+    nonzero |tau_q| over all pairs (+inf when every tau is zero).
     """
-    sizes = np.asarray(sets.sizes, dtype=np.int64)
+    means = [g.mean(axis=0) for g in groups]
+    tau_by_pair = {(k, l): means[k] - means[l]
+                   for k in range(len(means)) for l in range(k + 1, len(means))}
+    zero_dims = {p: tuple(int(q) for q in np.nonzero(t == 0)[0]) for p, t in tau_by_pair.items()}
+    nonzero = np.abs(np.concatenate([t[t != 0] for t in tau_by_pair.values()]))
+    return tau_by_pair, zero_dims, float(nonzero.min()) if nonzero.size else math.inf
+
+
+def _kappa_lower(gmin_w: float, gmax_b: float, sizes, diameters) -> tuple[float, bool]:
+    """max over clusters of eps_i * dia_i / denominator.
+
+    Every denominator gmin_w - 4 (m - m_i)/m_i * gmax_b must be positive;
+    otherwise the sign condition fails and the pair is infeasible.  Without
+    within pairs (gmin_w is NaN) the bound is 0.
+    """
+    if math.isnan(gmin_w):
+        return 0.0, True
+    sizes = np.asarray(sizes, dtype=np.int64)
     m = int(sizes.sum())
     eps = _epsilons(sizes)
-    p0 = sets.within_rows()
-    p1 = sets.between_rows()
-    gmax_b = float(gamma[p1].max())
-    if p0.size == 0:
-        return 0.0, True
-    gmin_w = float(gamma[p0].min())
     lower = 0.0
     for i in range(sizes.size):
         denom = gmin_w - 4.0 * (m - sizes[i]) / sizes[i] * gmax_b
@@ -173,6 +188,25 @@ def _kappa_lower(gamma, sets, diameters) -> tuple[float, bool]:
             return math.inf, False
         lower = max(lower, eps[i] * float(diameters[i]) / denom)
     return lower, True
+
+
+def _report(r, sizes, stats, dist_max, gmin_w, gmax_b, upper, degenerate,
+            **fields) -> FeasibilityReport:
+    """Lower bound, bandwidth bound, feasibility and the per-cluster fields
+    that the 2- and K-cluster formulas share; ``dist_max`` is the cluster
+    distance the bandwidth bound uses."""
+    lower, sign_ok = _kappa_lower(gmin_w, gmax_b, sizes, stats.diameters)
+    return FeasibilityReport(
+        n_clusters=len(sizes), sizes=sizes, r=float(r),
+        r_min=r_lower_bound(sizes, dist_max, stats.diameters),
+        kappa_lower=lower, kappa_upper=upper,
+        feasible=bool(sign_ok and not degenerate and lower < upper),
+        separated=bool(stats.min_dist > stats.max_dia),
+        dist_min=stats.min_dist, dist_max=dist_max,
+        diameters=tuple(float(x) for x in stats.diameters),
+        eps=tuple(float(x) for x in _epsilons(np.asarray(sizes, dtype=np.int64))),
+        gamma_min_within=gmin_w, gamma_max_between=gmax_b, degenerate=degenerate, **fields,
+    )
 
 
 def c_interval_two(A, labels, r: float) -> FeasibilityReport:
@@ -186,55 +220,35 @@ def c_interval_two(A, labels, r: float) -> FeasibilityReport:
     """
     if r < 0:
         raise ValueError(f"bandwidth r must be >= 0, got {r}")
-    Ap, lp, sets, B = _prepared(A, labels)
-    if sets.n_clusters != 2:
-        raise ValueError(f"expected exactly 2 clusters, got {sets.n_clusters}")
-    m = sets.m
-    m0, m1 = sets.sizes
-    gamma = np.exp(-r * np.sum(B ** 2, axis=1))
-    p0 = sets.within_rows()
-    p1 = sets.between_rows()
+    A, ranks, sizes, groups, within_d2 = _prepared(A, labels)
+    if len(sizes) != 2:
+        raise ValueError(f"expected exactly 2 clusters, got {len(sizes)}")
+    m = sum(sizes)
+    gamma_b = np.exp(-r * cdist(groups[0], groups[1], "sqeuclidean"))
+    gmax_b = float(gamma_b.max())
+    gmin_w = float(np.exp(-r * within_d2))
+    tau_by_pair, zero_dims, min_abs_tau = _mean_differences(groups)
+    tau = tau_by_pair[(0, 1)]
+    rho = float(gamma_b.mean())
+    stats = cluster_geometry(A, ranks)
 
-    tau = B[p1].sum(axis=0) / (m0 * m1)
-    rho = float(gamma[p1].sum() / (m0 * m1))
-    stats = cluster_geometry(Ap, lp)
-    sizes = np.asarray(sets.sizes, dtype=np.int64)
-
-    nz = np.nonzero(tau)[0]
-    zero_dims = tuple(int(q) for q in np.nonzero(tau == 0)[0])
     notes = []
-    degenerate = nz.size == 0
+    degenerate = min_abs_tau == math.inf
     if degenerate:
         upper = math.nan
         notes.append("all tau_q are zero: centered cluster means coincide, upper bound undefined")
     else:
-        min_abs_tau = float(np.abs(tau[nz]).min())
         candidates = []
-        max_absdiff = float(np.abs(rho - gamma[p1]).max())
+        max_absdiff = float(np.abs(rho - gamma_b).max())
         if max_absdiff > 0:
             candidates.append(2.0 * min_abs_tau / (m * max_absdiff))
         if rho > 0:
             candidates.append(2.0 * min_abs_tau / (m * rho))
         upper = min(candidates) if candidates else math.inf
 
-    lower, sign_ok = _kappa_lower(gamma, sets, stats.diameters)
-    r_min = r_lower_bound(sets.sizes, stats.min_dist, stats.diameters)
-    feasible = sign_ok and not degenerate and lower < upper
-
-    return FeasibilityReport(
-        n_clusters=2, sizes=sets.sizes, r=float(r), r_min=r_min,
-        kappa_lower=lower, kappa_upper=upper, feasible=bool(feasible),
-        separated=bool(stats.min_dist > stats.max_dia),
-        dist_min=stats.min_dist, dist_max=stats.min_dist,
-        diameters=tuple(float(x) for x in stats.diameters),
-        eps=tuple(float(x) for x in _epsilons(sizes)),
-        gamma_min_within=float(gamma[p0].min()) if p0.size else math.nan,
-        gamma_max_between=float(gamma[p1].max()),
-        rho=rho, tau=tau, tau_by_pair={(0, 1): tau},
-        zero_tau_dims={(0, 1): zero_dims},
-        means_distinct=nz.size == tau.size,
-        degenerate=degenerate, notes=tuple(notes),
-    )
+    return _report(r, sizes, stats, stats.min_dist, gmin_w, gmax_b, upper, degenerate,
+                   rho=rho, tau=tau, tau_by_pair=tau_by_pair, zero_tau_dims=zero_dims,
+                   means_distinct=not zero_dims[(0, 1)], notes=tuple(notes))
 
 
 def c_interval_k(A, labels, r: float) -> FeasibilityReport:
@@ -248,40 +262,22 @@ def c_interval_k(A, labels, r: float) -> FeasibilityReport:
     """
     if r < 0:
         raise ValueError(f"bandwidth r must be >= 0, got {r}")
-    Ap, lp, sets, B = _prepared(A, labels)
-    if sets.n_clusters < 2:
-        raise ValueError(f"expected at least 2 clusters, got {sets.n_clusters}")
-    m = sets.m
-    K = sets.n_clusters
-    sizes = np.asarray(sets.sizes, dtype=np.int64)
-    gamma = np.exp(-r * np.sum(B ** 2, axis=1))
-    p0 = sets.within_rows()
-    p1 = sets.between_rows()
-    gmax_b = float(gamma[p1].max())
-    stats = cluster_geometry(Ap, lp)
-
-    tau_by_pair: dict[tuple[int, int], np.ndarray] = {}
-    zero_dims: dict[tuple[int, int], tuple[int, ...]] = {}
-    min_abs_tau = math.inf
-    means_distinct = True
-    all_zero = True
-    for (k, l), _ in sorted(sets.between_by_pair.items()):
-        rows = sets.pair_rows(k, l)
-        tau = B[rows].sum(axis=0) / (sizes[k] * sizes[l])
-        tau_by_pair[(k, l)] = tau
-        zeros = tuple(int(q) for q in np.nonzero(tau == 0)[0])
-        zero_dims[(k, l)] = zeros
-        if zeros:
-            means_distinct = False
-        nz = np.abs(tau[np.nonzero(tau)[0]])
-        if nz.size:
-            all_zero = False
-            min_abs_tau = min(min_abs_tau, float(nz.min()))
+    A, ranks, sizes, groups, within_d2 = _prepared(A, labels)
+    K = len(sizes)
+    if K < 2:
+        raise ValueError(f"expected at least 2 clusters, got {K}")
+    m = sum(sizes)
+    tau_by_pair, zero_dims, min_abs_tau = _mean_differences(groups)
+    between_d2 = min(cdist(groups[k], groups[l], "sqeuclidean").min() for k, l in tau_by_pair)
+    gmax_b = float(np.exp(-r * between_d2))
+    gmin_w = float(np.exp(-r * within_d2))
+    stats = cluster_geometry(A, ranks)
 
     notes = []
+    means_distinct = not any(zero_dims.values())
     if not means_distinct:
         notes.append("cluster means are not distinct in every dimension: theorem hypothesis unmet")
-    degenerate = all_zero
+    degenerate = min_abs_tau == math.inf
     if degenerate:
         upper = math.nan
         notes.append("all tau vanish: no usable dimension for the upper bound")
@@ -290,28 +286,13 @@ def c_interval_k(A, labels, r: float) -> FeasibilityReport:
     else:
         upper = math.inf
 
-    lower, sign_ok = _kappa_lower(gamma, sets, stats.diameters)
-    offdiag = stats.pairwise_dist[np.triu_indices(K, k=1)]
-    dist_max = float(offdiag.max())
-    r_min = r_lower_bound(sets.sizes, dist_max, stats.diameters)
+    dist_max = float(stats.pairwise_dist[np.triu_indices(K, k=1)].max())
     if dist_max != stats.min_dist:
         notes.append("bandwidth bound uses d = max pairwise cluster distance; "
                      "the separation condition uses the min (both reported)")
-    feasible = sign_ok and not degenerate and lower < upper
-
-    return FeasibilityReport(
-        n_clusters=K, sizes=sets.sizes, r=float(r), r_min=r_min,
-        kappa_lower=lower, kappa_upper=upper, feasible=bool(feasible),
-        separated=bool(stats.min_dist > stats.max_dia),
-        dist_min=stats.min_dist, dist_max=dist_max,
-        diameters=tuple(float(x) for x in stats.diameters),
-        eps=tuple(float(x) for x in _epsilons(sizes)),
-        gamma_min_within=float(gamma[p0].min()) if p0.size else math.nan,
-        gamma_max_between=gmax_b,
-        rho=None, tau=None, tau_by_pair=tau_by_pair,
-        zero_tau_dims=zero_dims, means_distinct=means_distinct,
-        degenerate=degenerate, notes=tuple(notes),
-    )
+    return _report(r, sizes, stats, dist_max, gmin_w, gmax_b, upper, degenerate,
+                   rho=None, tau=None, tau_by_pair=tau_by_pair, zero_tau_dims=zero_dims,
+                   means_distinct=means_distinct, notes=tuple(notes))
 
 
 class BallCheck(NamedTuple):

@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
-from .core import check_data
+from .core import all_pairs, check_data, pair_sqdist
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,34 @@ def gaussian_weights(A, r: float) -> np.ndarray:
     return np.exp(-r * d2)
 
 
+def _knn_pairs(A: np.ndarray, k: int) -> np.ndarray:
+    """Undirected (i, j), i < j, pairs where one row is among the other's k nearest.
+
+    Neighbors are ranked by exact squared distance (:func:`pair_sqdist`, the
+    values ``pdist`` gives), then by ascending index.  The k-d tree supplies
+    each row's (k+1)-th nearest distance; every row within it, widened by a
+    relative 1e-9 to cover the tree's rounding, is a candidate, so a row with
+    ties at that distance is ranked exactly against all of them.
+    """
+    m = A.shape[0]
+    if not (1 <= k <= m - 1):
+        raise ValueError(f"knn must be in [1, m-1] or 'full', got {k}")
+    tree = cKDTree(A)
+    radius = tree.query(A, k + 1)[0][:, -1] * (1.0 + 1e-9)
+    cand = tree.query_ball_point(A, radius, return_sorted=False)
+    rows = np.repeat(np.arange(m), [len(c) for c in cand])
+    cols = np.concatenate(cand)
+    off_diag = rows != cols
+    rows, cols = rows[off_diag], cols[off_diag]
+    d2 = pair_sqdist(A, np.column_stack([rows, cols]))
+    order = np.lexsort((cols, d2, rows))
+    rows, cols = rows[order], cols[order]
+    keep = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+    rows, cols = rows[keep], cols[keep]
+    key = np.unique(np.minimum(rows, cols) * m + np.maximum(rows, cols))
+    return np.column_stack([key // m, key % m])
+
+
 def knn_sparsify(A, gamma: np.ndarray, knn: int | str) -> EdgeSet:
     """Keep the edge (i, j) iff one endpoint is among the other's knn nearest.
 
@@ -86,26 +115,25 @@ def knn_sparsify(A, gamma: np.ndarray, knn: int | str) -> EdgeSet:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (m * (m - 1) // 2,):
         raise ValueError("gamma must be a condensed vector over all pairs")
-
-    ii, jj = np.triu_indices(m, k=1)
     if knn == "full":
-        return EdgeSet(m=m, pairs=np.column_stack([ii, jj]), weights=gamma)
-    k = int(knn)
-    if not (1 <= k <= m - 1):
-        raise ValueError(f"knn must be in [1, m-1] or 'full', got {knn}")
-
-    d2 = squareform(pdist(A, metric="sqeuclidean"))
-    np.fill_diagonal(d2, np.inf)
-    # stable argsort: ties among equidistant neighbors resolve to lower index
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    keep = np.zeros((m, m), dtype=bool)
-    rows = np.repeat(np.arange(m), k)
-    keep[rows, nearest.ravel()] = True
-    keep |= keep.T
-    mask = keep[ii, jj]
-    return EdgeSet(m=m, pairs=np.column_stack([ii[mask], jj[mask]]), weights=gamma[mask])
+        return EdgeSet(m=m, pairs=all_pairs(m), weights=gamma)
+    pairs = _knn_pairs(A, int(knn))
+    i, j = pairs[:, 0], pairs[:, 1]
+    return EdgeSet(m=m, pairs=pairs, weights=gamma[i * (2 * m - i - 1) // 2 + (j - i - 1)])
 
 
 def gaussian_edges(A, r: float, knn: int | str = 5) -> EdgeSet:
-    """Convenience: Gaussian weights followed by knn sparsification."""
-    return knn_sparsify(A, gaussian_weights(A, r), knn)
+    """Gaussian weights exp(-r * ||A_i - A_j||^2) on the k-NN graph.
+
+    For an integer ``knn`` the graph is built from a k-d tree in O(m k log m)
+    and weights are evaluated on its edges only; they equal the matching
+    entries of :func:`gaussian_weights` bit for bit.  ``knn="full"`` keeps
+    all C(m,2) pairs and costs O(m^2).
+    """
+    if knn == "full":
+        return knn_sparsify(A, gaussian_weights(A, r), knn)
+    A = check_data(A)
+    if r < 0:
+        raise ValueError(f"kernel bandwidth r must be >= 0, got {r}")
+    pairs = _knn_pairs(A, int(knn))
+    return EdgeSet(m=A.shape[0], pairs=pairs, weights=np.exp(-r * pair_sqdist(A, pairs)))

@@ -1,0 +1,75 @@
+"""Dense all-pairs references for the k-NN graph, cluster extraction and the
+theory interval quantities.
+
+Each builds the O(m^2) (or O(m^2 n)) intermediate the package avoids: the
+full squared-distance matrix ranked by a stable argsort, the thresholded
+``pdist`` adjacency, and the paper's B = D A~ restricted to the pair index
+sets.  Shares no code path with the package's k-d tree, connected-components
+or closed-form cluster-mean code.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.spatial.distance import pdist, squareform
+
+from convexcluster.core import center_columns, contiguous_order, difference_operator, index_sets
+
+
+def knn_edges_dense(A, r: float, k: int):
+    """(pairs, weights) of the union k-NN graph; ties go to the lower index."""
+    A = np.asarray(A, dtype=float)
+    m = A.shape[0]
+    d2 = pdist(A, metric="sqeuclidean")
+    full = squareform(d2)
+    np.fill_diagonal(full, np.inf)
+    nearest = np.argsort(full, axis=1, kind="stable")[:, :k]
+    keep = np.zeros((m, m), dtype=bool)
+    keep[np.repeat(np.arange(m), k), nearest.ravel()] = True
+    keep |= keep.T
+    ii, jj = np.triu_indices(m, k=1)
+    mask = keep[ii, jj]
+    return np.column_stack([ii[mask], jj[mask]]), np.exp(-r * d2[mask])
+
+
+def threshold_components_dense(X, merge_tol: float) -> np.ndarray:
+    """Components of the graph ``pdist(X) <= merge_tol``, numbered by first occurrence."""
+    close = squareform(pdist(np.asarray(X, dtype=float)) <= merge_tol)
+    m = close.shape[0]
+    labels = np.full(m, -1, dtype=np.int64)
+    k = 0
+    for start in range(m):
+        if labels[start] >= 0:
+            continue
+        labels[start] = k
+        stack = [start]
+        while stack:
+            fresh = np.nonzero(close[stack.pop()] & (labels < 0))[0]
+            labels[fresh] = k
+            stack.extend(fresh.tolist())
+        k += 1
+    return labels
+
+
+def tau_gamma_dense(A, labels, r: float) -> dict:
+    """tau^{k,l}, the extreme kernel weights and rho from B = D A~.
+
+    Rows are permuted to contiguous blocks (clusters in first-occurrence
+    order) so the pair index sets apply; tau^{k,l} is the sum of the
+    between rows of B over m_k m_l, as the paper defines it.
+    """
+    A = np.asarray(A, dtype=float)
+    perm = contiguous_order(labels)
+    sets = index_sets(np.asarray(labels)[perm])
+    B = np.asarray(difference_operator(A.shape[0]) @ center_columns(A[perm]).centered)
+    gamma = np.exp(-r * np.sum(B ** 2, axis=1))
+    within, between = sets.within_rows(), sets.between_rows()
+    sizes = sets.sizes
+    tau = {(k, l): B[sets.pair_rows(k, l)].sum(axis=0) / (sizes[k] * sizes[l])
+           for (k, l) in sets.between_by_pair}
+    return {
+        "tau_by_pair": tau,
+        "gamma_min_within": float(gamma[within].min()) if within.size else float("nan"),
+        "gamma_max_between": float(gamma[between].max()),
+        "rho": float(gamma[between].sum() / (sizes[0] * sizes[1])) if len(sizes) == 2 else None,
+    }

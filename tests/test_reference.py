@@ -1,0 +1,91 @@
+"""The sparse k-NN graph, extraction and theory quantities against the dense
+all-pairs references in ``reference.py``."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.spatial.distance import pdist
+
+from convexcluster.extraction import extract_clusters
+from convexcluster.theory import c_interval_k, c_interval_two
+from convexcluster.weights import gaussian_edges, gaussian_weights, knn_sparsify
+from reference import knn_edges_dense, tau_gamma_dense, threshold_components_dense
+
+
+def _tie_heavy_inputs():
+    gen = np.random.default_rng(7)
+    grid2 = np.array([[i, j] for i in range(9) for j in range(9)], dtype=float)
+    grid9 = gen.integers(0, 3, size=(120, 9)).astype(float)
+    dup = np.repeat(gen.normal(size=(15, 10)), gen.integers(1, 14, size=15), axis=0)
+    dup = dup[gen.permutation(dup.shape[0])]
+    return {"grid2": grid2, "grid9": grid9, "dup10": dup}
+
+
+@pytest.mark.parametrize("name", ["grid2", "grid9", "dup10"])
+def test_knn_matches_stable_argsort_reference(name):
+    A = _tie_heavy_inputs()[name]
+    gamma = gaussian_weights(A, 0.3)
+    for k in (1, 2, 4, 9, 16):
+        pairs, weights = knn_edges_dense(A, 0.3, k)
+        edges = gaussian_edges(A, 0.3, k)
+        assert np.array_equal(edges.pairs, pairs)
+        assert np.array_equal(edges.weights, weights)  # bitwise, also at n >= 8
+        sparse = knn_sparsify(A, gamma, k)
+        assert np.array_equal(sparse.pairs, pairs)
+        assert np.array_equal(sparse.weights, weights)
+
+
+def test_knn_weights_bitwise_on_continuous_data():
+    A = np.random.default_rng(3).normal(size=(200, 30))
+    pairs, weights = knn_edges_dense(A, 0.02, 6)
+    edges = gaussian_edges(A, 0.02, 6)
+    assert np.array_equal(edges.pairs, pairs)
+    assert np.array_equal(edges.weights, weights)
+
+
+def test_extraction_matches_pdist_threshold_at_the_boundary():
+    # merge_tol exactly at the pair's pdist distance and one ulp either side
+    gen = np.random.default_rng(11)
+    for trial in range(400):
+        X = gen.normal(size=(2, 1 + trial % 5)) * 10.0 ** gen.uniform(-4, 3)
+        d = pdist(X)[0]
+        for tol, fused in ((np.nextafter(d, 0.0), False), (d, True), (np.nextafter(d, np.inf), True)):
+            got = extract_clusters(X, tol).labels
+            assert np.array_equal(got, threshold_components_dense(X, tol))
+            assert (got[0] == got[1]) == fused
+
+
+def test_extraction_matches_reference_on_near_fused_rows():
+    gen = np.random.default_rng(5)
+    for trial in range(5):
+        X = np.repeat(gen.normal(size=(25, 4)), 4, axis=0)
+        X = X + gen.normal(size=X.shape) * 10.0 ** gen.uniform(-11, -7, size=(X.shape[0], 1))
+        X = X[gen.permutation(X.shape[0])]
+        for tol in (0.0, 1e-9, 1e-8, 1e-7):
+            assert np.array_equal(extract_clusters(X, tol).labels,
+                                  threshold_components_dense(X, tol))
+
+
+def _rel_close(a, b, rtol=1e-12):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(np.abs(a - b) <= rtol * np.abs(b).max()))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_theory_tau_and_gamma_match_dense_reference(K):
+    gen = np.random.default_rng(K)
+    n = 10
+    centers = gen.normal(size=(K, n)) * 4.0
+    labels = gen.permutation(np.repeat(np.array([2, 0, 3, 1])[:K], gen.integers(2, 9, size=K)))
+    A = centers[np.searchsorted(np.unique(labels), labels)] + gen.normal(size=(labels.size, n))
+    r = 0.05
+    ref = tau_gamma_dense(A, labels, r)
+    rep = c_interval_two(A, labels, r) if K == 2 else c_interval_k(A, labels, r)
+    assert set(rep.tau_by_pair) == set(ref["tau_by_pair"])
+    for pair, tau in ref["tau_by_pair"].items():
+        assert _rel_close(rep.tau_by_pair[pair], tau)
+    assert math.isclose(rep.gamma_min_within, ref["gamma_min_within"], rel_tol=1e-12)
+    assert math.isclose(rep.gamma_max_between, ref["gamma_max_between"], rel_tol=1e-12)
+    if K == 2:
+        assert math.isclose(rep.rho, ref["rho"], rel_tol=1e-12)

@@ -155,6 +155,16 @@ def test_interval_invariant_to_constant_row_shift():
     assert np.allclose(rep.tau, rep_shifted.tau)
 
 
+def test_intervals_unchanged_by_renaming_labels():
+    # sizes follow first occurrence; diameters must follow the same order
+    g = np.random.default_rng(0)
+    A = np.vstack([g.normal(size=(3, 2)) * 0.3, g.normal(size=(6, 2)) * 0.8 + [6, 0]])
+    labels = np.array([0] * 3 + [1] * 6)
+    for fn in (lambda l: c_interval_two(A, l, 1.0), lambda l: c_interval_k(A, l, 1.0),
+               lambda l: search_feasible_r(A, l)):
+        assert fn(labels).to_dict() == fn(1 - labels).to_dict()
+
+
 def test_ball_condition_examples():
     ok = ball_condition([[0.0, 0.0], [4.0, 0.0]])
     assert ok.satisfied and ok.delta == 4.0

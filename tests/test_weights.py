@@ -73,6 +73,18 @@ def test_knn_nested_in_k():
     assert prev == {tuple(p) for p in knn_sparsify(A, g, "full").pairs.tolist()}
 
 
+def test_knn_tie_breaks_to_lower_index():
+    # row 0 is equidistant from rows 1 and 2; the lower index wins
+    A = [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [1.5, 0.0], [-1.5, 0.0]]
+    assert gaussian_edges(A, 0.5, 1).pairs.tolist() == [[0, 1], [1, 3], [2, 4]]
+
+
+def test_knn_edges_reject_negative_r():
+    A = np.random.default_rng(2).normal(size=(6, 2))
+    with pytest.raises(ValueError):
+        gaussian_edges(A, -0.5, 3)
+
+
 def test_knn_range_errors():
     A = np.array([[0.0], [1.0], [2.0]])
     g = gaussian_weights(A, 0.0)
