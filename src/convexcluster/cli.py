@@ -23,6 +23,7 @@ import numpy as np
 
 from . import datagen, theory
 from .baselines import hierarchical, kmeanspp_init, lloyd
+from .core import first_occurrence_ranks
 from .extraction import canonical_labels, extract_clusters, find_c_for_k, regularization_path
 from .metrics import rand_index
 from .solver import PAPER, SolverConfig, admm_solve, objective
@@ -180,10 +181,15 @@ def _solver_config(args, c: float) -> SolverConfig:
                         convention=args.convention)
 
 
+def _merge_tol(args) -> float:
+    """Extraction threshold: ``--merge-tol``, else 10 * ``--tol``."""
+    return args.merge_tol if args.merge_tol is not None else 10.0 * args.tol
+
+
 def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     A, truth, _ = _load_dataset(args.data, args.label_column)
-    merge_tol = args.merge_tol if args.merge_tol is not None else 10.0 * args.tol
+    merge_tol = _merge_tol(args)
 
     report: dict = {
         "command": "cluster",
@@ -271,7 +277,7 @@ def cmd_path(args) -> int:
     t0 = time.perf_counter()
     A, truth, _ = _load_dataset(args.data, args.label_column)
     edges = gaussian_edges(A, r=args.r, knn=args.knn)
-    merge_tol = args.merge_tol if args.merge_tol is not None else 10.0 * args.tol
+    merge_tol = _merge_tol(args)
     grid = _c_grid(args)
     path = regularization_path(A, edges, grid, _solver_config(args, 0.0),
                                merge_tol=merge_tol, warm_start=not args.cold)
@@ -339,7 +345,7 @@ def cmd_bench(args) -> int:
 
     if "convex" in methods:
         edges = gaussian_edges(A, r=args.r, knn=args.knn)
-        merge_tol = args.merge_tol if args.merge_tol is not None else 10.0 * args.tol
+        merge_tol = _merge_tol(args)
         if args.c is not None:
             state = admm_solve(A, edges, _solver_config(args, args.c))
             assign = extract_clusters(state.X, merge_tol)
@@ -440,12 +446,12 @@ def cmd_feasibility(args) -> int:
         report["ball"] = {"delta": check.delta, "satisfied": check.satisfied}
     if args.gmm_sigmas:
         sigmas = _parse_vector(args.gmm_sigmas)
-        values = np.unique(truth)
+        ranks = first_occurrence_ranks(truth)
+        means = np.stack([A[ranks == k].mean(axis=0) for k in range(ranks.max() + 1)])
         if len(sigmas) == 1:
-            sigmas = sigmas * len(values)
-        if len(sigmas) != len(values):
+            sigmas = sigmas * len(means)
+        if len(sigmas) != len(means):
             raise CliError("need one --gmm-sigmas entry per cluster (or one shared)")
-        means = np.stack([A[truth == v].mean(axis=0) for v in values])
         covs = [s ** 2 * np.eye(A.shape[1]) for s in sigmas]
         gmm = theory.gmm_separation_bound(means, covs, A.shape[0])
         report["gmm_bound"] = {
@@ -554,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--centers", nargs="+", default=None,
                    help="ball centers for the unit-ball condition")
     f.add_argument("--gmm-sigmas", default=None,
-                   help="spherical sigmas for the mixture separation bound")
+                   help="spherical sigmas for the mixture separation bound, one per "
+                        "cluster in first-occurrence order (or one shared)")
     f.add_argument("--config", default=None)
     f.add_argument("-o", "--output", default=None)
     f.set_defaults(func=cmd_feasibility)

@@ -11,20 +11,22 @@ that convention.
 The interval formulas are evaluated on the column-centered data A~, which
 leaves every reported quantity unchanged.  Clusters are numbered by first
 occurrence in ``labels``, and every per-cluster field of a report (sizes,
-diameters, eps, tau pairs) uses that order.  No C(m,2)-row B = D A~ is built:
-tau^{k,l}, the sum of the between rows of B over m_k m_l, is the difference of
-the centered cluster means, and kernel weights come from per-cluster ``pdist``
-and between-cluster ``cdist``.
+diameters, eps, tau pairs) and of a separation report uses that order.
+
+Only the kernel weights depend on the bandwidth r.  The clusters are measured
+once: sizes, diameters, cross-cluster distances and the mean differences
+tau^{k,l}.  Each r then re-evaluates the closed forms from those measurements,
+so ``search_feasible_r`` measures the clusters once however many r it tries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .core import center_columns, check_data, first_occurrence_ranks
 from .metrics import SeparationStats, cluster_geometry, _check_labels
@@ -45,15 +47,12 @@ def separation_check(A, labels) -> SeparationReport:
     Also reports whether the cluster means are pairwise distinct in every
     dimension, the extra hypothesis the K-cluster guarantee needs.
     """
-    A = check_data(A)
-    labels = _check_labels(labels, A.shape[0])
-    values = np.unique(labels)
-    if values.size < 2:
+    prep = _prepared(A, labels)
+    if len(prep.sizes) < 2:
         raise ValueError("separation needs at least 2 clusters")
-    stats = cluster_geometry(A, labels)
-    _, zero_dims, _ = _mean_differences([A[labels == v] for v in values])
+    stats = prep.stats
     return SeparationReport(separated=bool(stats.min_dist > stats.max_dia),
-                            stats=stats, means_distinct=not any(zero_dims.values()))
+                            stats=stats, means_distinct=not any(prep.zero_dims.values()))
 
 
 def r_lower_bound(sizes, d: float, diameters) -> float:
@@ -108,104 +107,117 @@ class FeasibilityReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "n_clusters": self.n_clusters,
-            "sizes": list(self.sizes),
-            "r": self.r,
-            "r_min": self.r_min,
-            "kappa_lower": self.kappa_lower,
-            "kappa_upper": self.kappa_upper,
-            "feasible": self.feasible,
-            "separated": self.separated,
-            "dist_min": self.dist_min,
-            "dist_max": self.dist_max,
-            "diameters": list(self.diameters),
-            "eps": list(self.eps),
-            "gamma_min_within": self.gamma_min_within,
-            "gamma_max_between": self.gamma_max_between,
-            "rho": self.rho,
-            "tau": None if self.tau is None else self.tau.tolist(),
-            "tau_by_pair": {f"{k},{l}": v.tolist() for (k, l), v in self.tau_by_pair.items()},
-            "zero_tau_dims": {f"{k},{l}": list(v) for (k, l), v in self.zero_tau_dims.items()},
-            "means_distinct": self.means_distinct,
-            "degenerate": self.degenerate,
-            "notes": list(self.notes),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            sizes=list(self.sizes), diameters=list(self.diameters), eps=list(self.eps),
+            tau=None if self.tau is None else self.tau.tolist(),
+            tau_by_pair={f"{k},{l}": v.tolist() for (k, l), v in self.tau_by_pair.items()},
+            zero_tau_dims={f"{k},{l}": list(v) for (k, l), v in self.zero_tau_dims.items()},
+            notes=list(self.notes))
+        return out
 
 
-def _epsilons(sizes: np.ndarray) -> np.ndarray:
-    m = sizes.sum()
-    return (8.0 * (m - sizes) * (sizes - 1) + 4.0 * sizes ** 2) / (m * sizes.astype(float) ** 2)
+class _Prepared(NamedTuple):
+    """The r-independent measurements of a labeled dataset.  ``within_d2`` is
+    NaN when every cluster is a singleton, ``cross_d2`` is None unless K = 2,
+    and ``min_abs_tau`` is +inf when every tau is zero."""
+
+    sizes: tuple[int, ...]
+    stats: SeparationStats
+    within_d2: float
+    cross_d2: np.ndarray | None
+    tau_by_pair: dict[tuple[int, int], np.ndarray]
+    zero_dims: dict[tuple[int, int], tuple[int, ...]]
+    min_abs_tau: float
 
 
-def _prepared(A, labels):
-    """Number clusters by first occurrence and split the centered rows by cluster.
-
-    Returns the data, the labels renumbered 0..K-1 in first-occurrence order,
-    the cluster sizes, each cluster's centered rows (input order kept) and the
-    largest within-cluster squared distance (NaN when no cluster has 2 rows).
-    """
+def _prepared(A, labels) -> _Prepared:
+    """Number clusters by first occurrence and measure them once."""
     A = check_data(A)
     labels = _check_labels(labels, A.shape[0])
     ranks = first_occurrence_ranks(labels)
     centered = center_columns(A).centered
     groups = [centered[ranks == k] for k in range(ranks.max() + 1)]
-    within = [pdist(g, "sqeuclidean").max() for g in groups if g.shape[0] >= 2]
-    within_d2 = float(max(within)) if within else math.nan
-    return A, ranks, tuple(g.shape[0] for g in groups), groups, within_d2
-
-
-def _mean_differences(groups):
-    """tau^{k,l} = mean_k - mean_l for every cluster pair k < l.
-
-    Returns the taus, the dimensions where each vanishes, and the smallest
-    nonzero |tau_q| over all pairs (+inf when every tau is zero).
-    """
+    sizes = tuple(g.shape[0] for g in groups)
+    stats = cluster_geometry(A, ranks)
     means = [g.mean(axis=0) for g in groups]
     tau_by_pair = {(k, l): means[k] - means[l]
                    for k in range(len(means)) for l in range(k + 1, len(means))}
-    zero_dims = {p: tuple(int(q) for q in np.nonzero(t == 0)[0]) for p, t in tau_by_pair.items()}
-    nonzero = np.abs(np.concatenate([t[t != 0] for t in tau_by_pair.values()]))
-    return tau_by_pair, zero_dims, float(nonzero.min()) if nonzero.size else math.inf
+    return _Prepared(
+        sizes=sizes, stats=stats,
+        within_d2=stats.max_dia ** 2 if max(sizes) >= 2 else math.nan,
+        cross_d2=cdist(groups[0], groups[1], "sqeuclidean") if len(groups) == 2 else None,
+        tau_by_pair=tau_by_pair,
+        zero_dims={p: tuple(int(q) for q in np.nonzero(t == 0)[0]) for p, t in tau_by_pair.items()},
+        min_abs_tau=min((float(np.abs(t[t != 0]).min()) for t in tau_by_pair.values() if t.any()),
+                        default=math.inf),
+    )
 
 
-def _kappa_lower(gmin_w: float, gmax_b: float, sizes, diameters) -> tuple[float, bool]:
-    """max over clusters of eps_i * dia_i / denominator.
+def _interval(prep: _Prepared, r: float, two: bool | None = None) -> FeasibilityReport:
+    """Evaluate the closed forms at bandwidth r: the 2-cluster formulas when
+    ``two`` is True, the K-cluster ones when False, and by K when None."""
+    if r < 0:
+        raise ValueError(f"bandwidth r must be >= 0, got {r}")
+    K = len(prep.sizes)
+    if two and K != 2:
+        raise ValueError(f"expected exactly 2 clusters, got {K}")
+    if K < 2:
+        raise ValueError(f"expected at least 2 clusters, got {K}")
+    two = K == 2 if two is None else two
+    m = sum(prep.sizes)
+    stats = prep.stats
+    gmin_w = float(np.exp(-r * prep.within_d2))
+    means_distinct = not any(prep.zero_dims.values())
+    degenerate = prep.min_abs_tau == math.inf
+    if two:
+        gamma_b = np.exp(-r * prep.cross_d2)
+        gmax_b, rho = float(gamma_b.max()), float(gamma_b.mean())
+        max_absdiff = float(np.abs(rho - gamma_b).max())
+        upper = min((2.0 * prep.min_abs_tau / (m * x) for x in (max_absdiff, rho) if x > 0),
+                    default=math.inf)
+        dist_max = stats.min_dist
+        notes = [(degenerate, "all tau_q are zero: centered cluster means coincide, "
+                              "upper bound undefined")]
+    else:
+        gmax_b, rho = float(np.exp(-r * stats.min_dist ** 2)), None
+        upper = prep.min_abs_tau / (3.0 * m * gmax_b) if gmax_b > 0 else math.inf
+        dist_max = float(stats.pairwise_dist[np.triu_indices(K, k=1)].max())
+        notes = [(not means_distinct, "cluster means are not distinct in every dimension: "
+                                      "theorem hypothesis unmet"),
+                 (degenerate, "all tau vanish: no usable dimension for the upper bound"),
+                 (dist_max != stats.min_dist, "bandwidth bound uses d = max pairwise cluster "
+                  "distance; the separation condition uses the min (both reported)")]
+    if degenerate:
+        upper = math.nan
 
-    Every denominator gmin_w - 4 (m - m_i)/m_i * gmax_b must be positive;
-    otherwise the sign condition fails and the pair is infeasible.  Without
-    within pairs (gmin_w is NaN) the bound is 0.
-    """
+    # kappa_lower = max_i eps_i dia_i / (gmin_w - 4 (m - m_i)/m_i gmax_b).  Every
+    # denominator must be positive (sign condition); without within pairs
+    # (gmin_w NaN) the bound is 0.
+    n = np.asarray(prep.sizes, dtype=np.int64)
+    eps = (8.0 * (m - n) * (n - 1) + 4.0 * n ** 2) / (m * n.astype(float) ** 2)
+    denom = gmin_w - 4.0 * (m - n) / n * gmax_b
+    sign_ok = not np.any(denom <= 0)
     if math.isnan(gmin_w):
-        return 0.0, True
-    sizes = np.asarray(sizes, dtype=np.int64)
-    m = int(sizes.sum())
-    eps = _epsilons(sizes)
-    lower = 0.0
-    for i in range(sizes.size):
-        denom = gmin_w - 4.0 * (m - sizes[i]) / sizes[i] * gmax_b
-        if denom <= 0:
-            return math.inf, False
-        lower = max(lower, eps[i] * float(diameters[i]) / denom)
-    return lower, True
-
-
-def _report(r, sizes, stats, dist_max, gmin_w, gmax_b, upper, degenerate,
-            **fields) -> FeasibilityReport:
-    """Lower bound, bandwidth bound, feasibility and the per-cluster fields
-    that the 2- and K-cluster formulas share; ``dist_max`` is the cluster
-    distance the bandwidth bound uses."""
-    lower, sign_ok = _kappa_lower(gmin_w, gmax_b, sizes, stats.diameters)
+        lower = 0.0
+    elif sign_ok:
+        lower = max(0.0, float((eps * stats.diameters / denom).max()))
+    else:
+        lower = math.inf
     return FeasibilityReport(
-        n_clusters=len(sizes), sizes=sizes, r=float(r),
-        r_min=r_lower_bound(sizes, dist_max, stats.diameters),
+        n_clusters=K, sizes=prep.sizes, r=float(r),
+        r_min=r_lower_bound(prep.sizes, dist_max, stats.diameters),
         kappa_lower=lower, kappa_upper=upper,
         feasible=bool(sign_ok and not degenerate and lower < upper),
         separated=bool(stats.min_dist > stats.max_dia),
         dist_min=stats.min_dist, dist_max=dist_max,
         diameters=tuple(float(x) for x in stats.diameters),
-        eps=tuple(float(x) for x in _epsilons(np.asarray(sizes, dtype=np.int64))),
-        gamma_min_within=gmin_w, gamma_max_between=gmax_b, degenerate=degenerate, **fields,
+        eps=tuple(float(x) for x in eps),
+        gamma_min_within=gmin_w, gamma_max_between=gmax_b, rho=rho,
+        tau=prep.tau_by_pair[(0, 1)] if two else None,
+        tau_by_pair=prep.tau_by_pair, zero_tau_dims=prep.zero_dims,
+        means_distinct=means_distinct, degenerate=degenerate,
+        notes=tuple(text for applies, text in notes if applies),
     )
 
 
@@ -218,37 +230,7 @@ def c_interval_two(A, labels, r: float) -> FeasibilityReport:
     centered cluster means coincide and the upper bound is undefined
     (degenerate report).
     """
-    if r < 0:
-        raise ValueError(f"bandwidth r must be >= 0, got {r}")
-    A, ranks, sizes, groups, within_d2 = _prepared(A, labels)
-    if len(sizes) != 2:
-        raise ValueError(f"expected exactly 2 clusters, got {len(sizes)}")
-    m = sum(sizes)
-    gamma_b = np.exp(-r * cdist(groups[0], groups[1], "sqeuclidean"))
-    gmax_b = float(gamma_b.max())
-    gmin_w = float(np.exp(-r * within_d2))
-    tau_by_pair, zero_dims, min_abs_tau = _mean_differences(groups)
-    tau = tau_by_pair[(0, 1)]
-    rho = float(gamma_b.mean())
-    stats = cluster_geometry(A, ranks)
-
-    notes = []
-    degenerate = min_abs_tau == math.inf
-    if degenerate:
-        upper = math.nan
-        notes.append("all tau_q are zero: centered cluster means coincide, upper bound undefined")
-    else:
-        candidates = []
-        max_absdiff = float(np.abs(rho - gamma_b).max())
-        if max_absdiff > 0:
-            candidates.append(2.0 * min_abs_tau / (m * max_absdiff))
-        if rho > 0:
-            candidates.append(2.0 * min_abs_tau / (m * rho))
-        upper = min(candidates) if candidates else math.inf
-
-    return _report(r, sizes, stats, stats.min_dist, gmin_w, gmax_b, upper, degenerate,
-                   rho=rho, tau=tau, tau_by_pair=tau_by_pair, zero_tau_dims=zero_dims,
-                   means_distinct=not zero_dims[(0, 1)], notes=tuple(notes))
+    return _interval(_prepared(A, labels), r, two=True)
 
 
 def c_interval_k(A, labels, r: float) -> FeasibilityReport:
@@ -260,39 +242,7 @@ def c_interval_k(A, labels, r: float) -> FeasibilityReport:
     disagrees with the min used by the separation condition; both distances
     are reported rather than silently reconciled.
     """
-    if r < 0:
-        raise ValueError(f"bandwidth r must be >= 0, got {r}")
-    A, ranks, sizes, groups, within_d2 = _prepared(A, labels)
-    K = len(sizes)
-    if K < 2:
-        raise ValueError(f"expected at least 2 clusters, got {K}")
-    m = sum(sizes)
-    tau_by_pair, zero_dims, min_abs_tau = _mean_differences(groups)
-    between_d2 = min(cdist(groups[k], groups[l], "sqeuclidean").min() for k, l in tau_by_pair)
-    gmax_b = float(np.exp(-r * between_d2))
-    gmin_w = float(np.exp(-r * within_d2))
-    stats = cluster_geometry(A, ranks)
-
-    notes = []
-    means_distinct = not any(zero_dims.values())
-    if not means_distinct:
-        notes.append("cluster means are not distinct in every dimension: theorem hypothesis unmet")
-    degenerate = min_abs_tau == math.inf
-    if degenerate:
-        upper = math.nan
-        notes.append("all tau vanish: no usable dimension for the upper bound")
-    elif gmax_b > 0:
-        upper = min_abs_tau / (3.0 * m * gmax_b)
-    else:
-        upper = math.inf
-
-    dist_max = float(stats.pairwise_dist[np.triu_indices(K, k=1)].max())
-    if dist_max != stats.min_dist:
-        notes.append("bandwidth bound uses d = max pairwise cluster distance; "
-                     "the separation condition uses the min (both reported)")
-    return _report(r, sizes, stats, dist_max, gmin_w, gmax_b, upper, degenerate,
-                   rho=None, tau=None, tau_by_pair=tau_by_pair, zero_tau_dims=zero_dims,
-                   means_distinct=means_distinct, notes=tuple(notes))
+    return _interval(_prepared(A, labels), r, two=False)
 
 
 class BallCheck(NamedTuple):
@@ -376,28 +326,26 @@ def gmm_separation_bound(means, covariances, m: int) -> GmmSeparationReport:
 
 def feasibility_report(A, labels, r: float) -> FeasibilityReport:
     """Dispatch to the 2-cluster formulas when K = 2, else the K-cluster ones."""
-    labels = np.asarray(labels)
-    K = np.unique(labels).size
-    if K == 2:
-        return c_interval_two(A, labels, r)
-    return c_interval_k(A, labels, r)
+    return _interval(_prepared(A, labels), r)
 
 
 def search_feasible_r(A, labels, r_start: float | None = None, growth: float = 1.4,
                       max_tries: int = 60) -> FeasibilityReport:
     """Grow r geometrically from just above the bandwidth bound until feasible.
 
-    The interval widens without bound as r grows on separated data, so the
-    search terminates quickly; raises if no feasible r is found, which on
-    separated data indicates a degenerate report (equal means).
+    The clusters are measured once; each tried r only re-evaluates the closed
+    forms.  The interval widens without bound as r grows on separated data,
+    so the search terminates quickly; raises if no feasible r is found, which
+    on separated data indicates a degenerate report (equal means).
     """
-    probe = feasibility_report(A, labels, 0.0)
+    prep = _prepared(A, labels)
+    probe = _interval(prep, 0.0)
     if not math.isfinite(probe.r_min):
         raise ValueError("no finite bandwidth bound: separation condition fails")
     r = r_start if r_start is not None else max(probe.r_min * 1.05, 1e-3)
     last = probe
     for _ in range(max_tries):
-        last = feasibility_report(A, labels, r)
+        last = _interval(prep, r)
         if last.feasible:
             return last
         r *= growth

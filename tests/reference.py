@@ -5,7 +5,8 @@ Each builds the O(m^2) (or O(m^2 n)) intermediate the package avoids: the
 full squared-distance matrix ranked by a stable argsort, the thresholded
 ``pdist`` adjacency, and the paper's B = D A~ restricted to the pair index
 sets.  Shares no code path with the package's k-d tree, connected-components
-or closed-form cluster-mean code.
+or closed-form cluster-mean code.  The interval lower bound is also evaluated
+one cluster at a time, as a loop reference for the package's array form.
 """
 
 from __future__ import annotations
@@ -73,3 +74,19 @@ def tau_gamma_dense(A, labels, r: float) -> dict:
         "gamma_max_between": float(gamma[between].max()),
         "rho": float(gamma[between].sum() / (sizes[0] * sizes[1])) if len(sizes) == 2 else None,
     }
+
+
+def kappa_lower_loop(gmin_w: float, gmax_b: float, sizes, diameters) -> float:
+    """max_i eps_i dia_i / (gmin_w - 4 (m - m_i)/m_i gmax_b), one cluster at a
+    time; +inf when a denominator is not positive, 0 without within pairs."""
+    if np.isnan(gmin_w):
+        return 0.0
+    m = sum(sizes)
+    lower = 0.0
+    for size, dia in zip(sizes, diameters):
+        eps = (8.0 * (m - size) * (size - 1) + 4.0 * size ** 2) / (m * float(size) ** 2)
+        denom = gmin_w - 4.0 * (m - size) / size * gmax_b
+        if denom <= 0:
+            return float("inf")
+        lower = max(lower, eps * dia / denom)
+    return lower

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from convexcluster import theory
 from convexcluster.cli import main
-from convexcluster.datagen import load_csv
+from convexcluster.datagen import load_csv, save_csv
 
 
 def run_cli(args, capsys):
@@ -151,6 +152,29 @@ def test_feasibility_command(ball_csv, capsys):
     assert report["ball"]["satisfied"]
     assert report["ball"]["delta"] >= 4.0
     assert "gmm_bound" in report
+
+
+def test_feasibility_reports_follow_first_occurrence(ball_csv, tmp_path, capsys, monkeypatch):
+    # renaming label values keeps the first-occurrence order, so every
+    # per-cluster field, and the GMM component each sigma is paired with,
+    # must stay the same
+    A, labels, _ = load_csv(ball_csv, label_column="label")
+    renamed = tmp_path / "renamed.csv"
+    save_csv(renamed, A, labels=(labels + 1) % 3)
+    gmm_means = []
+    bound = theory.gmm_separation_bound
+    monkeypatch.setattr(theory, "gmm_separation_bound",
+                        lambda means, *rest: gmm_means.append(means) or bound(means, *rest))
+    reports = []
+    for path in (ball_csv, renamed):
+        code, stdout, _ = run_cli(["feasibility", str(path), "--gmm-sigmas", "0.1,0.5,0.9"], capsys)
+        assert code == 0
+        reports.append(json.loads(stdout))
+    for key in ("separation", "interval", "gmm_bound"):
+        assert reports[0][key] == reports[1][key]
+    first = [A[labels == v].mean(axis=0) for v in dict.fromkeys(labels.tolist())]
+    for means in gmm_means:
+        assert np.array_equal(means, first)
 
 
 def test_feasibility_overlapping_clusters(tmp_path, capsys):

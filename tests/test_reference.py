@@ -10,7 +10,8 @@ from scipy.spatial.distance import pdist
 from convexcluster.extraction import extract_clusters
 from convexcluster.theory import c_interval_k, c_interval_two
 from convexcluster.weights import gaussian_edges, gaussian_weights, knn_sparsify
-from reference import knn_edges_dense, tau_gamma_dense, threshold_components_dense
+from reference import (knn_edges_dense, kappa_lower_loop, tau_gamma_dense,
+                       threshold_components_dense)
 
 
 def _tie_heavy_inputs():
@@ -89,3 +90,7 @@ def test_theory_tau_and_gamma_match_dense_reference(K):
     assert math.isclose(rep.gamma_max_between, ref["gamma_max_between"], rel_tol=1e-12)
     if K == 2:
         assert math.isclose(rep.rho, ref["rho"], rel_tol=1e-12)
+    for r in (0.0, 0.05, 1.0):
+        rep = c_interval_two(A, labels, r) if K == 2 else c_interval_k(A, labels, r)
+        assert rep.kappa_lower == kappa_lower_loop(rep.gamma_min_within, rep.gamma_max_between,
+                                                   rep.sizes, rep.diameters)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from convexcluster import theory
+from convexcluster.datagen import BallModelSpec, stochastic_ball
 from convexcluster.extraction import extract_clusters
 from convexcluster.metrics import exact_clustering_check
 from convexcluster.solver import SolverConfig, admm_solve
@@ -11,6 +13,7 @@ from convexcluster.theory import (
     c_interval_k,
     c_interval_two,
     candidate_c_values,
+    feasibility_report,
     gmm_separation_bound,
     r_lower_bound,
     search_feasible_r,
@@ -160,9 +163,39 @@ def test_intervals_unchanged_by_renaming_labels():
     g = np.random.default_rng(0)
     A = np.vstack([g.normal(size=(3, 2)) * 0.3, g.normal(size=(6, 2)) * 0.8 + [6, 0]])
     labels = np.array([0] * 3 + [1] * 6)
-    for fn in (lambda l: c_interval_two(A, l, 1.0), lambda l: c_interval_k(A, l, 1.0),
-               lambda l: search_feasible_r(A, l)):
-        assert fn(labels).to_dict() == fn(1 - labels).to_dict()
+    def separation(l):
+        rep = separation_check(A, l)
+        return (rep.separated, rep.means_distinct, rep.stats.diameters.tolist(),
+                rep.stats.pairwise_dist.tolist())
+
+    for fn in (lambda l: c_interval_two(A, l, 1.0).to_dict(),
+               lambda l: c_interval_k(A, l, 1.0).to_dict(),
+               lambda l: search_feasible_r(A, l).to_dict(), separation):
+        assert fn(labels) == fn(1 - labels)
+
+
+def _ball(per_cluster=10, seed=0):
+    centers = np.array([[0.0, 0.0], [4.41, 0.89], [1.8, 6.0]])
+    return stochastic_ball(BallModelSpec(centers=centers, per_cluster=per_cluster, seed=seed))
+
+
+def test_search_measures_clusters_once(monkeypatch):
+    A, labels = _ball()
+    calls = []
+    measure = theory.cluster_geometry
+    monkeypatch.setattr(theory, "cluster_geometry", lambda *a: calls.append(a) or measure(*a))
+    rep = search_feasible_r(A, labels)
+    assert len(calls) == 1
+    # the search went past its first r, so it evaluated several bandwidths
+    assert rep.r > max(feasibility_report(A, labels, 0.0).r_min * 1.05, 1e-3)
+
+
+def test_searched_report_equals_direct_report():
+    A, labels = _ball()
+    keep = labels != 2
+    for data, lab in ((A, labels), (A[keep], labels[keep])):
+        rep = search_feasible_r(data, lab)
+        assert rep.to_dict() == feasibility_report(data, lab, rep.r).to_dict()
 
 
 def test_ball_condition_examples():
