@@ -111,37 +111,22 @@ def hierarchical(A, k: int, linkage: str = "single") -> Assignment:
     if linkage not in ("single", "average"):
         raise ValueError(f"linkage must be 'single' or 'average', got {linkage!r}")
 
-    if k == m:
-        return canonical_labels(np.arange(m))
-
     D = squareform(pdist(A))
-    work = D.copy()
-    iu = np.tril_indices(m)
-    work[iu] = np.inf  # keep only i < j candidates
+    np.fill_diagonal(D, np.inf)
     sizes = np.ones(m)
     member_of = np.arange(m)  # slot id = smallest member, merged slots die
-    active = np.ones(m, dtype=bool)
-
-    n_active = m
-    while n_active > k:
-        flat = int(np.argmin(work))
-        a, b = divmod(flat, m)  # row-major argmin: lexicographic tie-break
-        # merge b into a (a < b since the lower triangle is masked)
-        for s in np.nonzero(active)[0]:
-            if s == a or s == b:
-                continue
-            da = work[min(a, s), max(a, s)]
-            db = work[min(b, s), max(b, s)]
-            if linkage == "single":
-                new = min(da, db)
-            else:
-                new = (sizes[a] * da + sizes[b] * db) / (sizes[a] + sizes[b])
-            work[min(a, s), max(a, s)] = new
+    for _ in range(m - k):
+        # row-major argmin of the symmetric matrix: the lexicographically
+        # smallest (a, b), with a < b
+        a, b = divmod(int(np.argmin(D)), m)
+        if linkage == "single":
+            merged = np.minimum(D[a], D[b])
+        else:
+            merged = (sizes[a] * D[a] + sizes[b] * D[b]) / (sizes[a] + sizes[b])
+        D[a] = D[:, a] = merged
+        D[a, a] = np.inf
+        D[b] = D[:, b] = np.inf
         sizes[a] += sizes[b]
-        active[b] = False
-        work[b, :] = np.inf
-        work[:, b] = np.inf
         member_of[member_of == b] = a
-        n_active -= 1
 
     return canonical_labels(member_of)

@@ -3,8 +3,8 @@ feasibility reports, and the benchmark harness.
 
 Output is machine-first (JSON or CSV) and byte-deterministic for a fixed
 seed and thread cap: timing goes to stderr unless ``--timing`` opts it into
-the report.  Exit codes: 0 success, 2 input error, 3 non-convergence under
-``--strict``.
+the report.  Exit codes: 0 success, 2 input error (including an output that
+cannot be written), 3 non-convergence under ``--strict``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,16 +50,50 @@ def _threads() -> int:
     return val
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+# ---------------------------------------------------------------- shared I/O
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@contextmanager
+def _writing(out):
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}")
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
+    if out is None:
         sys.stdout.write(text)
+        return
+    with _writing(out):
+        Path(out).write_text(text, encoding="utf-8")
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _finish(report: dict | None, args, t0: float) -> None:
+    """Print the elapsed time to stderr; ``--timing`` also puts it in the report."""
+    elapsed = time.perf_counter() - t0
+    if args.timing and report is not None:
+        report["wall_time_s"] = elapsed
+    print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
+
+
+def _load_dataset(args, needs_labels: str | None = None):
+    """Read ``args.data``; returns (A, labels, report input block).
+
+    ``needs_labels`` is the error raised when the file has no label column.
+    """
+    if not Path(args.data).exists():
+        raise CliError(f"dataset not found: {args.data}")
+    A, labels, _ = datagen.load_csv(args.data, args.label_column)
+    if labels is None and needs_labels:
+        raise CliError(needs_labels)
+    digest = hashlib.sha256(Path(args.data).read_bytes()).hexdigest()
+    return A, labels, {"path": args.data, "sha256": digest, "label_column": args.label_column,
+                       "m": int(A.shape[0]), "n": int(A.shape[1])}
 
 
 def _parse_vector(text: str) -> list[float]:
@@ -65,6 +101,15 @@ def _parse_vector(text: str) -> list[float]:
         return [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise CliError(f"cannot parse vector {text!r} (expected comma-separated numbers)")
+
+
+def _per_cluster(values: list[float], K: int, message: str) -> list[float]:
+    """One value per cluster, or a single value shared by all K."""
+    if len(values) == 1:
+        values = values * K
+    if len(values) != K:
+        raise CliError(message)
+    return values
 
 
 def _parse_knn(text: str):
@@ -76,16 +121,8 @@ def _parse_knn(text: str):
         raise CliError(f"--knn must be an integer or 'full', got {text!r}")
 
 
-def _load_config_defaults(argv: list[str]) -> dict:
-    """Read a flat key=value config file named by --config, if any."""
-    cfg_path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            cfg_path = argv[i + 1]
-        elif tok.startswith("--config="):
-            cfg_path = tok.split("=", 1)[1]
-    if cfg_path is None:
-        return {}
+def _load_config_defaults(cfg_path: str) -> dict:
+    """Read a flat key=value config file."""
     path = Path(cfg_path)
     if not path.exists():
         raise CliError(f"config file not found: {cfg_path}")
@@ -101,14 +138,15 @@ def _load_config_defaults(argv: list[str]) -> dict:
     return defaults
 
 
-def _load_dataset(path: str, label_column: str | None):
-    if not Path(path).exists():
-        raise CliError(f"dataset not found: {path}")
-    try:
-        A, labels, header = datagen.load_csv(path, label_column)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return A, labels, header
+def _config_value(action: argparse.Action, raw: str):
+    """Type a config value as its flag would: switches read true/false, and
+    multi-valued flags take whitespace-separated items."""
+    if isinstance(action.const, bool) or isinstance(action.default, bool):
+        return raw.lower() in ("1", "true", "yes", "on")
+    convert = action.type or str
+    if action.nargs in ("+", "*"):
+        return [convert(item) for item in raw.split()]
+    return convert(raw)
 
 
 # ---------------------------------------------------------------- generate
@@ -118,17 +156,6 @@ def _sidecar(out: str) -> Path:
     return p.with_suffix(".spec.json") if p.suffix else Path(str(p) + ".spec.json")
 
 
-def _write_generated(out: str, A, labels, spec: dict) -> dict:
-    datagen.save_csv(out, A, labels=labels)
-    spec = dict(spec)
-    spec["rng"] = datagen.RNG_ALGORITHM
-    spec["m"] = int(A.shape[0])
-    spec["n"] = int(A.shape[1])
-    _sidecar(out).write_text(json.dumps(spec, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
-    return spec
-
-
 def cmd_generate(args) -> int:
     if args.kind == "circles":
         A, labels = datagen.embedded_circles(seed=args.seed)
@@ -136,7 +163,7 @@ def cmd_generate(args) -> int:
     elif args.kind == "ball":
         if not args.centers:
             raise CliError("generate ball requires --centers")
-        centers = np.array([_parse_vector(c) for c in args.centers])
+        centers = np.array(args.centers)
         spec_obj = datagen.BallModelSpec(centers=centers, per_cluster=args.per_cluster,
                                          distribution=args.distribution, seed=args.seed)
         A, labels = datagen.stochastic_ball(spec_obj)
@@ -151,26 +178,23 @@ def cmd_generate(args) -> int:
     else:  # general gmm
         if not args.means:
             raise CliError("generate gmm requires --means (or --paper)")
-        means = np.array([_parse_vector(c) for c in args.means])
+        means = np.array(args.means)
         K = means.shape[0]
-        sigmas = _parse_vector(args.sigmas) if args.sigmas else [args.sigma] * K
-        if len(sigmas) == 1:
-            sigmas = sigmas * K
-        if len(sigmas) != K:
-            raise CliError("need one sigma per component (or a single shared value)")
-        weights = _parse_vector(args.weights) if args.weights else [1.0 / K] * K
+        sigmas = _per_cluster(args.sigmas or [args.sigma], K,
+                              "need one sigma per component (or a single shared value)")
+        weights = args.weights or [1.0 / K] * K
         covs = [s ** 2 * np.eye(means.shape[1]) for s in sigmas]
         spec_obj = datagen.GmmSpec(weights=np.array(weights), means=means,
                                    covariances=covs, m=args.m, seed=args.seed)
         A, labels = datagen.gaussian_mixture(spec_obj)
         spec = {"kind": "gmm", "means": means.tolist(), "sigmas": list(sigmas),
                 "weights": list(weights), "m": args.m, "seed": args.seed}
-    try:
-        written = _write_generated(args.output, A, labels, spec)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.output}: {exc}")
-    _emit({"written": args.output, "sidecar": str(_sidecar(args.output)), "spec": written},
-          None)
+    spec.update(rng=datagen.RNG_ALGORITHM, m=int(A.shape[0]), n=int(A.shape[1]))
+    with _writing(args.output):
+        datagen.save_csv(args.output, A, labels=labels)
+    sidecar = str(_sidecar(args.output))
+    _write(_json(spec), sidecar)
+    _write(_json({"written": args.output, "sidecar": sidecar, "spec": spec}), None)
     return 0
 
 
@@ -188,55 +212,40 @@ def _merge_tol(args) -> float:
 
 def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
-    A, truth, _ = _load_dataset(args.data, args.label_column)
+    auto = "--auto-params" if args.auto_params else "--auto-r" if args.auto_r else None
+    A, truth, source = _load_dataset(args, auto and f"{auto} needs labeled data (--label-column)")
     merge_tol = _merge_tol(args)
+    config = {"nu": args.nu, "tol": args.tol, "max_iter": args.max_iter, "knn": args.knn,
+              "merge_tol": merge_tol, "convention": args.convention, "seed": args.seed,
+              "threads": _threads(), "r": args.r}
+    report: dict = {"command": "cluster", "input": source, "config": config}
 
-    report: dict = {
-        "command": "cluster",
-        "input": {"path": args.data, "sha256": _sha256(args.data),
-                  "label_column": args.label_column,
-                  "m": int(A.shape[0]), "n": int(A.shape[1])},
-        "config": {"nu": args.nu, "tol": args.tol, "max_iter": args.max_iter,
-                   "knn": args.knn, "merge_tol": merge_tol,
-                   "convention": args.convention, "seed": args.seed,
-                   "threads": _threads()},
-    }
-
-    if args.auto_r and not args.auto_params:
-        # pick only the bandwidth from theory; c stays caller-supplied
-        if truth is None:
-            raise CliError("--auto-r needs labeled data (--label-column)")
-        args.r = search_feasible_r(A, truth).r
-
+    # candidate c values, tried in order: the first that recovers the truth
+    # wins, else the first
     if args.auto_params:
-        if truth is None:
-            raise CliError("--auto-params needs labeled data (--label-column)")
         feas = search_feasible_r(A, truth, r_start=args.r if args.r > 0 else None)
-        r = feas.r
-        edges = gaussian_edges(A, r=r, knn="full")
-        truth_canonical = canonical_labels(truth).labels
-        chosen = None
-        for cand in candidate_c_values(feas, count=args.auto_candidates):
-            cfg = _solver_config(args, float(cand))
-            state = admm_solve(A, edges, cfg)
-            assign = extract_clusters(state.X, merge_tol)
-            if np.array_equal(assign.labels, truth_canonical):
-                chosen = (float(cand), state, assign)
-                break
-            if chosen is None:
-                chosen = (float(cand), state, assign)
-        c, state, assign = chosen
+        config.update(r=feas.r, knn="full")
+        candidates = [float(c) for c in candidate_c_values(feas, count=args.auto_candidates)]
         report["feasibility"] = feas.to_dict()
-        report["config"].update({"c": c, "r": r, "knn": "full"})
+    elif args.c is None:
+        raise CliError("--c is required unless --auto-params is given")
     else:
-        if args.c is None:
-            raise CliError("--c is required unless --auto-params is given")
-        c, r = args.c, args.r
-        edges = gaussian_edges(A, r=r, knn=args.knn)
-        cfg = _solver_config(args, c)
-        state = admm_solve(A, edges, cfg)
+        if args.auto_r:  # only the bandwidth comes from theory
+            config["r"] = search_feasible_r(A, truth).r
+        candidates = [args.c]
+
+    edges = gaussian_edges(A, r=config["r"], knn=config["knn"])
+    target = canonical_labels(truth).labels if truth is not None else None
+    first = None
+    for c in candidates:
+        state = admm_solve(A, edges, _solver_config(args, c))
         assign = extract_clusters(state.X, merge_tol)
-        report["config"].update({"c": c, "r": r})
+        first = first or (c, state, assign)
+        if target is not None and np.array_equal(assign.labels, target):
+            break
+    else:
+        c, state, assign = first
+    config["c"] = c
 
     report["result"] = {
         "labels": assign.labels.tolist(),
@@ -247,14 +256,12 @@ def cmd_cluster(args) -> int:
     }
     if truth is not None:
         report["result"]["rand_index"] = rand_index(assign.labels, truth)
-    elapsed = time.perf_counter() - t0
-    if args.timing:
-        report["wall_time_s"] = elapsed
-    print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
+    _finish(report, args, t0)
 
     if args.labels_out:
-        datagen.save_csv(args.labels_out, A, labels=assign.labels)
-    _emit(report, args.output)
+        with _writing(args.labels_out):
+            datagen.save_csv(args.labels_out, A, labels=assign.labels)
+    _write(_json(report), args.output)
     if args.strict and not state.converged:
         print("solver did not converge within max_iter", file=sys.stderr)
         return 3
@@ -265,22 +272,18 @@ def cmd_cluster(args) -> int:
 
 def _c_grid(args) -> np.ndarray:
     if args.c_grid:
-        grid = np.array(_parse_vector(args.c_grid))
-    else:
-        if args.c_min <= 0 or args.c_max <= args.c_min:
-            raise CliError("need 0 < --c-min < --c-max for a geometric grid")
-        grid = np.geomspace(args.c_min, args.c_max, args.c_steps)
-    return grid
+        return np.array(args.c_grid)
+    if args.c_min <= 0 or args.c_max <= args.c_min:
+        raise CliError("need 0 < --c-min < --c-max for a geometric grid")
+    return np.geomspace(args.c_min, args.c_max, args.c_steps)
 
 
 def cmd_path(args) -> int:
     t0 = time.perf_counter()
-    A, truth, _ = _load_dataset(args.data, args.label_column)
+    A, truth, _ = _load_dataset(args)
     edges = gaussian_edges(A, r=args.r, knn=args.knn)
-    merge_tol = _merge_tol(args)
-    grid = _c_grid(args)
-    path = regularization_path(A, edges, grid, _solver_config(args, 0.0),
-                               merge_tol=merge_tol, warm_start=not args.cold)
+    path = regularization_path(A, edges, _c_grid(args), _solver_config(args, 0.0),
+                               merge_tol=_merge_tol(args), warm_start=not args.cold)
     if not path.counts_non_increasing:
         print("warning: cluster counts are not monotone along this path "
               "(try --cold or a tighter --tol)", file=sys.stderr)
@@ -288,40 +291,21 @@ def cmd_path(args) -> int:
     for pt in path.points:
         rand = repr(rand_index(pt.assignment.labels, truth)) if truth is not None else ""
         lines.append(f"{pt.c!r},{pt.n_clusters},{rand},{pt.iters},{pt.converged}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    print(f"elapsed_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
+    _write("\n".join(lines) + "\n", args.output)
+    _finish(None, args, t0)
     return 0
 
 
 # ---------------------------------------------------------------- bench
 
-_WORKER_STATE: dict = {}
-
-
-def _bench_init(A, truth, k, inits):
-    _WORKER_STATE["A"] = A
-    _WORKER_STATE["truth"] = truth
-    _WORKER_STATE["k"] = k
-    _WORKER_STATE["inits"] = inits
-
-
-def _bench_task(task):
+def _bench_task(A, truth, k, inits, task):
     """One benchmark repetition: best Rand index over the configured inits."""
     method, rep, base_seed = task
-    A = _WORKER_STATE["A"]
-    truth = _WORKER_STATE["truth"]
-    k = _WORKER_STATE["k"]
-    inits = _WORKER_STATE["inits"]
     best = -1.0
     for i in range(inits):
         seed = base_seed + rep * inits + i
         if method == "lloyd":
-            res = lloyd(A, k, seed=seed)
-            labels = res.labels
+            labels = lloyd(A, k, seed=seed).labels
         else:  # kmeanspp
             centers = kmeanspp_init(A, k, seed=seed)
             labels = lloyd(A, k, init_centers=centers).labels
@@ -331,15 +315,14 @@ def _bench_task(task):
 
 def cmd_bench(args) -> int:
     t0 = time.perf_counter()
-    A, truth, _ = _load_dataset(args.data, args.label_column)
-    if truth is None:
-        raise CliError("bench needs truth labels (--label-column)")
+    A, truth, source = _load_dataset(args, "bench needs truth labels (--label-column)")
     k = args.k if args.k else int(np.unique(truth).size)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     known = {"convex", "lloyd", "kmeanspp", "hc-single", "hc-average"}
     bad = set(methods) - known
     if bad:
         raise CliError(f"unknown methods: {sorted(bad)} (choose from {sorted(known)})")
+    workers = _threads()
 
     results: dict[str, dict] = {}
 
@@ -368,90 +351,67 @@ def cmd_bench(args) -> int:
     km_methods = [m for m in methods if m in ("lloyd", "kmeanspp")]
     if km_methods:
         tasks = [(m, rep, args.seed) for m in km_methods for rep in range(args.repeats)]
-        workers = _threads()
+        run = partial(_bench_task, A, truth, k, args.inits)
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_bench_init,
-                                     initargs=(A, truth, k, args.inits)) as pool:
-                outcomes = list(pool.map(_bench_task, tasks, chunksize=8))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(run, tasks, chunksize=8))
         else:
-            _bench_init(A, truth, k, args.inits)
-            outcomes = [_bench_task(t) for t in tasks]
+            outcomes = list(map(run, tasks))
         for m in km_methods:
             vals = np.array(sorted(v for mm, _, v in outcomes if mm == m))
             results[m] = {"mean": float(vals.mean()), "sd": float(vals.std()),
                           "runs": int(vals.size)}
 
-    elapsed = time.perf_counter() - t0
     report = {
         "command": "bench",
-        "input": {"path": args.data, "sha256": _sha256(args.data),
-                  "label_column": args.label_column, "m": int(A.shape[0]),
-                  "n": int(A.shape[1]), "k": k},
+        "input": {**source, "k": k},
         "config": {"methods": methods, "repeats": args.repeats, "inits": args.inits,
-                   "seed": args.seed, "r": args.r, "knn": args.knn,
-                   "threads": _threads()},
+                   "seed": args.seed, "r": args.r, "knn": args.knn, "threads": workers},
         "results": results,
     }
-    if args.timing:
-        report["wall_time_s"] = elapsed
-    print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
+    _finish(report, args, t0)
     if args.format == "csv":
         lines = ["method,mean,sd,runs"]
         for m in sorted(results):
             r = results[m]
             lines.append(f"{m},{r['mean']!r},{r['sd']!r},{r['runs']}")
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.output)
     else:
-        _emit(report, args.output)
+        _write(_json(report), args.output)
     return 0
 
 
 # ---------------------------------------------------------------- feasibility
 
 def cmd_feasibility(args) -> int:
-    A, truth, _ = _load_dataset(args.data, args.label_column)
-    if truth is None:
-        raise CliError("feasibility needs truth labels (--label-column)")
+    A, truth, source = _load_dataset(args, "feasibility needs truth labels (--label-column)")
+    sep = theory.separation_check(A, truth)
     report: dict = {
         "command": "feasibility",
-        "input": {"path": args.data, "sha256": _sha256(args.data),
-                  "label_column": args.label_column,
-                  "m": int(A.shape[0]), "n": int(A.shape[1])},
-    }
-    sep = theory.separation_check(A, truth)
-    report["separation"] = {
-        "separated": sep.separated,
-        "means_distinct": sep.means_distinct,
-        "min_dist": sep.stats.min_dist,
-        "max_dia": sep.stats.max_dia,
-        "diameters": sep.stats.diameters.tolist(),
+        "input": source,
+        "separation": {
+            "separated": sep.separated,
+            "means_distinct": sep.means_distinct,
+            "min_dist": sep.stats.min_dist,
+            "max_dia": sep.stats.max_dia,
+            "diameters": sep.stats.diameters.tolist(),
+        },
     }
     if args.r is not None:
-        feas = feasibility_report(A, truth, args.r)
+        report["interval"] = feasibility_report(A, truth, args.r).to_dict()
     else:
         try:
-            feas = search_feasible_r(A, truth)
+            report["interval"] = search_feasible_r(A, truth).to_dict()
         except ValueError as exc:
-            feas = None
             report["interval_error"] = str(exc)
-    if feas is not None:
-        report["interval"] = feas.to_dict()
     if args.centers:
-        centers = np.array([_parse_vector(c) for c in args.centers])
-        check = theory.ball_condition(centers)
+        check = theory.ball_condition(np.array(args.centers))
         report["ball"] = {"delta": check.delta, "satisfied": check.satisfied}
     if args.gmm_sigmas:
-        sigmas = _parse_vector(args.gmm_sigmas)
         ranks = first_occurrence_ranks(truth)
         means = np.stack([A[ranks == k].mean(axis=0) for k in range(ranks.max() + 1)])
-        if len(sigmas) == 1:
-            sigmas = sigmas * len(means)
-        if len(sigmas) != len(means):
-            raise CliError("need one --gmm-sigmas entry per cluster (or one shared)")
+        sigmas = _per_cluster(args.gmm_sigmas, len(means),
+                              "need one --gmm-sigmas entry per cluster (or one shared)")
         covs = [s ** 2 * np.eye(A.shape[1]) for s in sigmas]
         gmm = theory.gmm_separation_bound(means, covs, A.shape[0])
         report["gmm_bound"] = {
@@ -460,7 +420,7 @@ def cmd_feasibility(args) -> int:
             "min_center_distance": gmm.min_center_distance,
             "satisfied": gmm.satisfied,
         }
-    _emit(report, args.output)
+    _write(_json(report), args.output)
     return 0
 
 
@@ -490,16 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic dataset as CSV + sidecar spec")
     g.add_argument("kind", choices=["ball", "gmm", "circles", "paper-gaussians"])
-    g.add_argument("--centers", nargs="+", default=None,
+    g.add_argument("--centers", nargs="+", type=_parse_vector, default=None,
                    help="cluster centers as comma-separated vectors")
-    g.add_argument("--means", nargs="+", default=None,
+    g.add_argument("--means", nargs="+", type=_parse_vector, default=None,
                    help="gmm component means as comma-separated vectors")
     g.add_argument("--per-cluster", type=int, default=10)
     g.add_argument("--distribution", choices=["uniform_ball", "uniform_sphere"],
                    default="uniform_ball")
     g.add_argument("--sigma", type=float, default=1.0)
-    g.add_argument("--sigmas", default=None, help="per-component sigmas, comma separated")
-    g.add_argument("--weights", default=None, help="mixture weights, comma separated")
+    g.add_argument("--sigmas", type=_parse_vector, default=None,
+                   help="per-component sigmas, comma separated")
+    g.add_argument("--weights", type=_parse_vector, default=None,
+                   help="mixture weights, comma separated")
     g.add_argument("--m", type=int, default=30)
     g.add_argument("--paper", action="store_true",
                    help="use the fixed 30x100 three-cluster benchmark configuration")
@@ -526,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("path", help="regularization path over a c grid")
     p.add_argument("data")
     p.add_argument("--label-column", default=None)
-    p.add_argument("--c-grid", default=None, help="explicit comma-separated ascending c values")
+    p.add_argument("--c-grid", type=_parse_vector, default=None,
+                   help="explicit comma-separated ascending c values")
     p.add_argument("--c-min", type=float, default=1e-3)
     p.add_argument("--c-max", type=float, default=1e3)
     p.add_argument("--c-steps", type=int, default=15)
@@ -544,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="take the best Rand index over this many initializations per repeat")
     b.add_argument("--c", type=float, default=None,
                    help="fixed c for the convex method (default: path-select k)")
-    b.add_argument("--c-grid", default=None)
+    b.add_argument("--c-grid", type=_parse_vector, default=None)
     b.add_argument("--c-min", type=float, default=1e-2)
     b.add_argument("--c-max", type=float, default=1e7)
     b.add_argument("--c-steps", type=int, default=12)
@@ -557,9 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--label-column", default="label")
     f.add_argument("--r", type=float, default=None,
                    help="evaluate the c interval at this bandwidth (default: search)")
-    f.add_argument("--centers", nargs="+", default=None,
+    f.add_argument("--centers", nargs="+", type=_parse_vector, default=None,
                    help="ball centers for the unit-ball condition")
-    f.add_argument("--gmm-sigmas", default=None,
+    f.add_argument("--gmm-sigmas", type=_parse_vector, default=None,
                    help="spherical sigmas for the mixture separation bound, one per "
                         "cluster in first-occurrence order (or one shared)")
     f.add_argument("--config", default=None)
@@ -570,35 +533,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        defaults = _load_config_defaults(argv)
-        if defaults:
-            ns, _ = parser.parse_known_args(argv)
+        ns, _ = parser.parse_known_args(argv)
+        if ns.config is not None:
+            defaults = _load_config_defaults(ns.config)
             sub_actions = [a for a in parser._actions
                            if isinstance(a, argparse._SubParsersAction)]
             subparser = sub_actions[0].choices[ns.command]
-            known = {a.dest for a in subparser._actions}
-            unknown = set(defaults) - known
+            actions = {a.dest: a for a in subparser._actions}
+            unknown = set(defaults) - set(actions)
             if unknown:
                 raise CliError(f"unknown config keys: {sorted(unknown)}")
-            typed = {}
-            for key, raw in defaults.items():
-                action = next(a for a in subparser._actions if a.dest == key)
-                if action.type is not None:
-                    typed[key] = action.type(raw)
-                elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                    typed[key] = raw.lower() in ("1", "true", "yes", "on")
-                else:
-                    typed[key] = raw
-            subparser.set_defaults(**typed)
+            subparser.set_defaults(**{key: _config_value(actions[key], raw)
+                                      for key, raw in defaults.items()})
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,18 @@ def check_data(A) -> np.ndarray:
     return A
 
 
+def _check_covariance(S) -> tuple[np.ndarray, np.ndarray]:
+    """Check that a covariance is symmetric and positive semidefinite (up to
+    rounding); return its eigendecomposition (eigenvalues, eigenvectors)."""
+    S = np.asarray(S, dtype=float)
+    if not np.allclose(S, S.T, atol=1e-10):
+        raise ValueError("covariance must be symmetric")
+    w, V = np.linalg.eigh(S)
+    if w.min() < -1e-10 * max(1.0, abs(w.max())):
+        raise ValueError("covariance must be positive semidefinite")
+    return w, V
+
+
 @dataclass(frozen=True)
 class CenteredData:
     """Column-centered data and the removed per-column means."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RNG_ALGORITHM, check_data, rng
+from .core import RNG_ALGORITHM, check_data, rng, _check_covariance
 
 __all__ = [
     "RNG_ALGORITHM", "BallModelSpec", "GmmSpec", "stochastic_ball",
@@ -102,12 +102,7 @@ class GmmSpec:
 
 
 def _cov_sqrt(S: np.ndarray) -> np.ndarray:
-    S = np.asarray(S, dtype=float)
-    if not np.allclose(S, S.T, atol=1e-10):
-        raise ValueError("covariance must be symmetric")
-    w, V = np.linalg.eigh(S)
-    if w.min() < -1e-10 * max(1.0, abs(w.max())):
-        raise ValueError("covariance must be positive semidefinite")
+    w, V = _check_covariance(S)
     return V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 

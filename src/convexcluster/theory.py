@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import center_columns, check_data, first_occurrence_ranks
+from .core import center_columns, check_data, first_occurrence_ranks, _check_covariance
 from .metrics import SeparationStats, cluster_geometry, _check_labels
 
 
@@ -293,11 +293,7 @@ def gmm_separation_bound(means, covariances, m: int) -> GmmSeparationReport:
     for S in covs:
         if S.shape != (means.shape[1], means.shape[1]):
             raise ValueError("covariance shape mismatch")
-        if not np.allclose(S, S.T, atol=1e-10):
-            raise ValueError("covariance must be symmetric")
-        w = np.linalg.eigvalsh(S)
-        if w.min() < -1e-10 * max(1.0, abs(w.max())):
-            raise ValueError("covariance must be positive semidefinite")
+        _check_covariance(S)
 
     logm = math.log(m)
     root12 = math.sqrt(12.0 * logm)

@@ -6,7 +6,8 @@ full squared-distance matrix ranked by a stable argsort, the thresholded
 ``pdist`` adjacency, and the paper's B = D A~ restricted to the pair index
 sets.  Shares no code path with the package's k-d tree, connected-components
 or closed-form cluster-mean code.  The interval lower bound is also evaluated
-one cluster at a time, as a loop reference for the package's array form.
+one cluster at a time, as a loop reference for the package's array form, and
+linkage clustering updates one upper-triangle entry at a time.
 """
 
 from __future__ import annotations
@@ -90,3 +91,35 @@ def kappa_lower_loop(gmin_w: float, gmax_b: float, sizes, diameters) -> float:
             return float("inf")
         lower = max(lower, eps * dia / denom)
     return lower
+
+
+def hierarchical_loop(A, k: int, linkage: str) -> np.ndarray:
+    """Agglomerative merge ids on the upper triangle, one entry per update.
+
+    Ties go to the lexicographically smallest (a, b) by the row-major
+    ``argmin``; a merged cluster keeps slot a, its smallest member."""
+    A = np.asarray(A, dtype=float)
+    m = A.shape[0]
+    work = squareform(pdist(A))
+    work[np.tril_indices(m)] = np.inf
+    sizes = np.ones(m)
+    member_of = np.arange(m)
+    active = np.ones(m, dtype=bool)
+    for _ in range(m - k):
+        a, b = divmod(int(np.argmin(work)), m)
+        for s in np.nonzero(active)[0]:
+            if s in (a, b):
+                continue
+            da = work[min(a, s), max(a, s)]
+            db = work[min(b, s), max(b, s)]
+            if linkage == "single":
+                new = min(da, db)
+            else:
+                new = (sizes[a] * da + sizes[b] * db) / (sizes[a] + sizes[b])
+            work[min(a, s), max(a, s)] = new
+        sizes[a] += sizes[b]
+        active[b] = False
+        work[b, :] = np.inf
+        work[:, b] = np.inf
+        member_of[member_of == b] = a
+    return member_of

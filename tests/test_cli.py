@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from convexcluster import theory
+from convexcluster import cli, theory
 from convexcluster.cli import main
 from convexcluster.datagen import load_csv, save_csv
 
@@ -103,6 +103,18 @@ def test_cluster_report_deterministic(ball_csv, capsys):
     assert out1 == out2
 
 
+def test_cluster_auto_r_keeps_given_c(ball_csv, capsys):
+    code, stdout, _ = run_cli(
+        ["cluster", str(ball_csv), "--label-column", "label", "--auto-r", "--c", "7.5",
+         "--knn", "full"], capsys)
+    assert code == 0
+    report = json.loads(stdout)
+    A, truth, _ = load_csv(ball_csv, label_column="label")
+    assert report["config"]["r"] == theory.search_feasible_r(A, truth).r
+    assert report["config"]["c"] == 7.5
+    assert "feasibility" not in report
+
+
 def test_path_command(ball_csv, capsys):
     code, stdout, _ = run_cli(
         ["path", str(ball_csv), "--label-column", "label", "--r", "0.8",
@@ -139,6 +151,20 @@ def test_bench_csv_format(ball_csv, capsys):
     lines = stdout.strip().splitlines()
     assert lines[0] == "method,mean,sd,runs"
     assert lines[1].startswith("lloyd,")
+
+
+def test_bench_results_independent_of_thread_cap(ball_csv, capsys, monkeypatch):
+    args = ["bench", str(ball_csv), "--methods", "lloyd,kmeanspp,hc-average", "--repeats", "9",
+            "--inits", "2", "--seed", "4"]
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv(cli.ENV_THREADS, threads)
+        code, stdout, _ = run_cli(args, capsys)
+        assert code == 0
+        reports.append(json.loads(stdout))
+    assert reports[1]["config"].pop("threads") == 2
+    assert reports[0]["config"].pop("threads") == 1
+    assert reports[0] == reports[1]
 
 
 def test_feasibility_command(ball_csv, capsys):
@@ -201,6 +227,12 @@ def test_config_file_defaults_and_override(ball_csv, tmp_path, capsys):
          "--c", "0"], capsys)
     report = json.loads(stdout)
     assert report["config"]["c"] == 0.0
+    # multi-valued keys are whitespace separated, each item typed as its flag
+    cfg.write_text("centers=0,0 4.5,0\n", encoding="utf-8")
+    code, stdout, _ = run_cli(["feasibility", str(ball_csv), "--config", str(cfg)], capsys)
+    assert code == 0
+    ball = json.loads(stdout)["ball"]
+    assert ball["delta"] == 4.5
     # unknown keys rejected
     cfg.write_text("bogus=1\n", encoding="utf-8")
     code, _, err = run_cli(
@@ -218,6 +250,20 @@ def test_error_exit_codes(ball_csv, tmp_path, capsys):
         ["cluster", str(ball_csv), "--c", "5", "--r", "0.8", "--max-iter", "2",
          "--tol", "1e-12", "--strict"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["cluster", "{data}", "--c", "1", "-o", "{out}"],
+    ["cluster", "{data}", "--c", "1", "--labels-out", "{out}"],
+    ["path", "{data}", "--c-grid", "1,2", "-o", "{out}"],
+    ["bench", "{data}", "--methods", "lloyd", "--repeats", "2", "--inits", "1", "-o", "{out}"],
+    ["feasibility", "{data}", "-o", "{out}"],
+], ids=["cluster", "labels-out", "path", "bench", "feasibility"])
+def test_unwritable_output_exits_2(ball_csv, tmp_path, capsys, args):
+    out = tmp_path / "missing-dir" / "out"
+    code, _, err = run_cli([a.format(data=ball_csv, out=out) for a in args], capsys)
+    assert code == 2
+    assert err.splitlines()[-1].startswith(f"error: cannot write {out}")
 
 
 def test_console_entry_point(tmp_path):

@@ -1,5 +1,5 @@
-"""The sparse k-NN graph, extraction and theory quantities against the dense
-all-pairs references in ``reference.py``."""
+"""The sparse k-NN graph, extraction, theory quantities and linkage
+clustering against the dense all-pairs references in ``reference.py``."""
 
 import math
 
@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from convexcluster.extraction import extract_clusters
+from convexcluster.baselines import hierarchical
+from convexcluster.extraction import canonical_labels, extract_clusters
 from convexcluster.theory import c_interval_k, c_interval_two
 from convexcluster.weights import gaussian_edges, gaussian_weights, knn_sparsify
-from reference import (knn_edges_dense, kappa_lower_loop, tau_gamma_dense,
+from reference import (hierarchical_loop, knn_edges_dense, kappa_lower_loop, tau_gamma_dense,
                        threshold_components_dense)
 
 
@@ -35,6 +36,17 @@ def test_knn_matches_stable_argsort_reference(name):
         sparse = knn_sparsify(A, gamma, k)
         assert np.array_equal(sparse.pairs, pairs)
         assert np.array_equal(sparse.weights, weights)
+
+
+@pytest.mark.parametrize("linkage", ["single", "average"])
+def test_hierarchical_matches_upper_triangle_loop(linkage):
+    inputs = dict(_tie_heavy_inputs())
+    inputs["continuous"] = np.random.default_rng(3).normal(size=(60, 3))
+    for name, A in inputs.items():
+        A = A[:60]
+        for k in (1, 2, 3, 7, 59):
+            expected = canonical_labels(hierarchical_loop(A, k, linkage)).labels
+            assert np.array_equal(hierarchical(A, k, linkage).labels, expected), (name, k)
 
 
 def test_knn_weights_bitwise_on_continuous_data():

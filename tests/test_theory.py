@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convexcluster import theory
-from convexcluster.datagen import BallModelSpec, stochastic_ball
+from convexcluster.datagen import BallModelSpec, GmmSpec, gaussian_mixture, stochastic_ball
 from convexcluster.extraction import extract_clusters
 from convexcluster.metrics import exact_clustering_check
 from convexcluster.solver import SolverConfig, admm_solve
@@ -254,6 +254,24 @@ def test_gmm_bound_rejects_bad_covariance():
         gmm_separation_bound(means, [np.array([[-1.0]]), np.array([[1.0]])], m=5)
     with pytest.raises(ValueError):
         gmm_separation_bound(means, [np.array([[1.0]])], m=5)
+
+
+@pytest.mark.parametrize("S, message", [
+    ([[1.0, 1e-9], [0.0, 1.0]], "covariance must be symmetric"),
+    ([[1.0, 0.0], [0.0, -1e-9]], "covariance must be positive semidefinite"),
+    ([[1.0, 1e-11], [0.0, -1e-11]], None),  # within rounding: accepted
+])
+def test_sampler_and_bound_check_covariances_alike(S, message):
+    means = [[0.0, 0.0], [5.0, 0.0]]
+    calls = (lambda: gmm_separation_bound(means, [np.eye(2), S], m=10),
+             lambda: gaussian_mixture(GmmSpec(weights=[0.5, 0.5], means=means,
+                                              covariances=[np.eye(2), S], m=10)))
+    for call in calls:
+        if message is None:
+            call()
+        else:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_end_to_end_interval_gives_exact_clustering():
