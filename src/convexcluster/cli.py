@@ -76,7 +76,7 @@ def _write(text: str, out: str | None) -> None:
 def _finish(report: dict | None, args, t0: float) -> None:
     """Print the elapsed time to stderr; ``--timing`` also puts it in the report."""
     elapsed = time.perf_counter() - t0
-    if args.timing and report is not None:
+    if report is not None and args.timing:
         report["wall_time_s"] = elapsed
     print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
 
@@ -438,7 +438,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--convention", choices=[PAPER, "half"], default=PAPER,
                    help="objective convention for c")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timing", action="store_true", help="include wall time in the report")
     p.add_argument("--config", default=None, help="flat key=value config file; flags override")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
 
@@ -482,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--labels-out", default=None, help="write a labeled copy of the data")
     c.add_argument("--strict", action="store_true",
                    help="exit 3 when the solver does not converge")
+    c.add_argument("--timing", action="store_true", help="include wall time in the report")
     _add_solver_flags(c)
     c.set_defaults(func=cmd_cluster)
 
@@ -512,6 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--c-max", type=float, default=1e7)
     b.add_argument("--c-steps", type=int, default=12)
     b.add_argument("--format", choices=["json", "csv"], default="json")
+    b.add_argument("--timing", action="store_true", help="include wall time in the report")
     _add_solver_flags(b)
     b.set_defaults(func=cmd_bench)
 

@@ -72,6 +72,14 @@ def center_columns(A) -> CenteredData:
     return CenteredData(centered=A - means, column_means=means)
 
 
+def _incidence(pairs: np.ndarray, m: int) -> sp.csr_matrix:
+    """Signed incidence matrix over m nodes: row l is e_i - e_j for pairs[l] = (i, j)."""
+    n_pairs = pairs.shape[0]
+    rows = np.repeat(np.arange(n_pairs), 2)
+    data = np.tile(np.array([1.0, -1.0]), n_pairs)
+    return sp.csr_matrix((data, (rows, pairs.ravel())), shape=(n_pairs, m))
+
+
 def difference_operator(m: int) -> sp.csr_matrix:
     """Sparse C(m,2) x m operator mapping X to all row differences X_i - X_j.
 
@@ -80,14 +88,7 @@ def difference_operator(m: int) -> sp.csr_matrix:
     """
     if m < 2:
         raise ValueError(f"difference operator needs m >= 2, got {m}")
-    ii, jj = np.triu_indices(m, k=1)
-    npairs = ii.size
-    rows = np.repeat(np.arange(npairs), 2)
-    cols = np.empty(2 * npairs, dtype=np.int64)
-    cols[0::2] = ii
-    cols[1::2] = jj
-    data = np.tile(np.array([1.0, -1.0]), npairs)
-    return sp.csr_matrix((data, (rows, cols)), shape=(npairs, m))
+    return _incidence(all_pairs(m), m)
 
 
 def all_pairs(m: int) -> np.ndarray:
@@ -195,15 +196,6 @@ class IndexSets:
         return np.array(sorted(self.between_by_pair[(k, l)]), dtype=np.int64) - 1
 
 
-def _block_pairs(m: int, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """0-based linear positions of all pairs (i, j) with i in a, j in b, i < j."""
-    ii, jj = np.meshgrid(rows_a, rows_b, indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    keep = ii < jj
-    ii, jj = ii[keep], jj[keep]
-    return ii * (2 * m - ii - 1) // 2 + (jj - ii - 1)
-
-
 def index_sets(labels) -> IndexSets:
     """Build the within/between pair-index sets for contiguous cluster labels.
 
@@ -225,28 +217,16 @@ def index_sets(labels) -> IndexSets:
     blocks = tuple((int(a), int(b)) for a, b in zip(starts, stops))
     K = len(sizes)
 
-    within: set[int] = set()
-    for a, b in blocks:
-        idx = np.arange(a, b)
-        if idx.size >= 2:
-            within.update((_block_pairs(m, idx, idx) + 1).tolist())
-
-    between_by_pair: dict[tuple[int, int], frozenset[int]] = {}
-    between: set[int] = set()
-    for k in range(K):
-        ak, bk = blocks[k]
-        for l in range(k + 1, K):
-            al, bl = blocks[l]
-            ps = _block_pairs(m, np.arange(ak, bk), np.arange(al, bl)) + 1
-            pset = frozenset(int(p) for p in ps)
-            between_by_pair[(k, l)] = pset
-            between.update(pset)
-
+    block = np.repeat(np.arange(K), sizes)
+    pairs = all_pairs(m)
+    bi, bj = block[pairs[:, 0]], block[pairs[:, 1]]
+    p = np.arange(1, pairs.shape[0] + 1)
     return IndexSets(
         m=m,
         sizes=sizes,
         blocks=blocks,
-        within=frozenset(within),
-        between=frozenset(between),
-        between_by_pair=between_by_pair,
+        within=frozenset(p[bi == bj].tolist()),
+        between=frozenset(p[bi != bj].tolist()),
+        between_by_pair={(k, l): frozenset(p[(bi == k) & (bj == l)].tolist())
+                         for k in range(K) for l in range(k + 1, K)},
     )

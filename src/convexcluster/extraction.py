@@ -75,6 +75,15 @@ class PathResult:
         return bool(np.all(np.diff(self.cluster_counts) <= 0))
 
 
+def _solve_point(A, edges: EdgeSet, cfg: SolverConfig, c: float, merge_tol: float,
+                 init: SolverState | None = None) -> tuple[PathPoint, SolverState]:
+    """Solve at ``c`` and extract its partition."""
+    state = admm_solve(A, edges, replace(cfg, c=c), init=init)
+    assign = extract_clusters(state.X, merge_tol)
+    return PathPoint(c=c, assignment=assign, n_clusters=assign.k, iters=state.iters,
+                     converged=state.converged, final_change=state.final_change), state
+
+
 def regularization_path(A, edges: EdgeSet, c_grid, cfg: SolverConfig,
                         merge_tol: float | None = None,
                         warm_start: bool = True) -> PathResult:
@@ -100,12 +109,9 @@ def regularization_path(A, edges: EdgeSet, c_grid, cfg: SolverConfig,
     points = []
     state: SolverState | None = None
     for c in c_grid:
-        state = admm_solve(A, edges, replace(cfg, c=float(c)),
-                           init=state if warm_start else None)
-        assign = extract_clusters(state.X, merge_tol)
-        points.append(PathPoint(c=float(c), assignment=assign, n_clusters=assign.k,
-                                iters=state.iters, converged=state.converged,
-                                final_change=state.final_change))
+        point, state = _solve_point(A, edges, cfg, float(c), merge_tol,
+                                    init=state if warm_start else None)
+        points.append(point)
     return PathResult(points=tuple(points))
 
 
@@ -145,13 +151,10 @@ def find_c_for_k(A, edges: EdgeSet, k: int, cfg: SolverConfig, c_grid,
         lo = hi * 1e-9
     for _ in range(max_bisect):
         mid = float(np.sqrt(lo * hi))
-        state = admm_solve(A, edges, replace(cfg, c=mid))
-        assign = extract_clusters(state.X, merge_tol)
-        if assign.k == k:
-            return PathPoint(c=mid, assignment=assign, n_clusters=assign.k,
-                             iters=state.iters, converged=state.converged,
-                             final_change=state.final_change)
-        if assign.k > k:
+        point, _ = _solve_point(A, edges, cfg, mid, merge_tol)
+        if point.n_clusters == k:
+            return point
+        if point.n_clusters > k:
             lo = mid
         else:
             hi = mid

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .core import check_data, pos_pair
+from .core import check_data
 
 
 def _check_labels(labels, m: int | None = None) -> np.ndarray:
@@ -110,7 +110,7 @@ def exact_clustering_check(X, truth, merge_tol: float = 1e-8) -> ExactClustering
     bad = np.nonzero(np.where(same, d > merge_tol, d <= merge_tol))[0]
     if bad.size == 0:
         return ExactClusteringResult(ok=True, violation=None)
-    return ExactClusteringResult(ok=False, violation=pos_pair(int(bad[0]), m))
+    return ExactClusteringResult(ok=False, violation=(int(ii[bad[0]]), int(jj[bad[0]])))
 
 
 def zhu_condition(A, labels) -> bool:

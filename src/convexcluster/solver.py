@@ -10,6 +10,11 @@ over the edge set l = (l1, l2).  Two fidelity conventions are supported:
 the augmented-Lagrangian form).  They coincide under c -> c/2; the solver
 always iterates the half form internally and rescales c on entry, so both
 conventions reach the identical minimizer of their own objective.
+
+The ADMM loop runs in scaled form (Boyd et al. 2011, section 3.1.1): it keeps
+the scaled dual U = Lam / nu, so no iteration divides by nu, and converts
+back once on exit.  Every returned state reports the unscaled multiplier
+Lam = nu * U.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import scipy.sparse as sp
 from scipy.optimize import lsq_linear
 from scipy.sparse.linalg import splu
 
-from .core import check_data
+from .core import _incidence, check_data
 from .weights import EdgeSet
 
 PAPER = "paper"
@@ -78,23 +83,21 @@ class SolverState:
 def soft_threshold(v, t):
     """Componentwise shrink toward zero: sign(v) * max(|v| - t, 0).
 
-    ``t`` must be nonnegative; it broadcasts against ``v``, so a per-row
-    threshold column works for matrix input.
+    Computed as ``v - clip(v, -t, t)``, which gives the same values except
+    that a shrunk entry is always +0.  ``t`` must be nonnegative; it
+    broadcasts against ``v``, so a per-row threshold column works for matrix
+    input.
     """
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("soft-threshold amount must be >= 0")
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return v - np.clip(v, -t, t)
 
 
 def incidence(edges: EdgeSet) -> sp.csr_matrix:
     """Signed edge-incidence operator E with (EX)_l = X_{l1} - X_{l2}."""
-    E = edges.n_edges
-    rows = np.repeat(np.arange(E), 2)
-    cols = edges.pairs.ravel()
-    data = np.tile(np.array([1.0, -1.0]), E)
-    return sp.csr_matrix((data, (rows, cols)), shape=(E, edges.m))
+    return _incidence(edges.pairs, edges.m)
 
 
 def objective(A, X, edges: EdgeSet, c: float, convention: str = PAPER) -> float:
@@ -135,12 +138,15 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
 
     Alternates an exact centroid update (one sparse factorization of
     I + nu*L, reused every iteration), a per-edge soft-threshold update of
-    the split variables, and a dual ascent step.  Stops when the Frobenius
-    change of the centroid matrix drops to ``cfg.tol``; hitting
-    ``cfg.max_iter`` first is reported via ``converged=False``, not raised.
+    the split variables, and a step of the scaled dual U = Lam / nu.  Stops
+    when the Frobenius change of the centroid matrix drops to ``cfg.tol``;
+    hitting ``cfg.max_iter`` first is reported via ``converged=False``, not
+    raised.
 
     ``init`` warm-starts all three blocks (regularization paths); the default
-    start is all zeros.  The solve is deterministic: no randomness anywhere.
+    start is all zeros.  ``init.Lam`` and the returned ``Lam`` are unscaled:
+    U = Lam / nu on entry and Lam = nu * U on exit.  The solve is
+    deterministic: no randomness anywhere.
     """
     A = check_data(A)
     m, n = A.shape
@@ -152,7 +158,7 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
     if E == 0 or c_half == 0.0:
         # No active penalty: the fidelity minimizer X = A is exact.
         X = A.copy()
-        D = X[edges.pairs[:, 0]] - X[edges.pairs[:, 1]] if E else np.zeros((0, n))
+        D = X[edges.pairs[:, 0]] - X[edges.pairs[:, 1]]
         return SolverState(X=X, Z=D, Lam=np.zeros((E, n)), iters=1,
                            final_change=0.0, converged=True, history=np.zeros(1))
 
@@ -165,24 +171,23 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
     if init is not None:
         X = np.array(init.X, dtype=float, copy=True)
         Z = np.array(init.Z, dtype=float, copy=True)
-        Lam = np.array(init.Lam, dtype=float, copy=True)
-        if X.shape != (m, n) or Z.shape != (E, n) or Lam.shape != (E, n):
+        U = np.asarray(init.Lam, dtype=float) / cfg.nu
+        if X.shape != (m, n) or Z.shape != (E, n) or U.shape != (E, n):
             raise ValueError("warm-start state shapes do not match problem")
     else:
         X = np.zeros((m, n))
         Z = np.zeros((E, n))
-        Lam = np.zeros((E, n))
+        U = np.zeros((E, n))
 
     history = np.empty(cfg.max_iter)
     converged = False
     change = np.inf
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        rhs = A + EincT @ (cfg.nu * Z + Lam)
-        X_new = lu.solve(rhs)
+        X_new = lu.solve(A + cfg.nu * (EincT @ (Z + U)))
         D = Einc @ X_new
-        Z = soft_threshold(D - Lam / cfg.nu, thresh)
-        Lam = Lam + cfg.nu * (Z - D)
+        Z = soft_threshold(D - U, thresh)
+        U += Z - D
         change = float(np.linalg.norm(X_new - X))
         X = X_new
         history[it - 1] = change
@@ -190,7 +195,7 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
             converged = True
             break
 
-    return SolverState(X=X, Z=Z, Lam=Lam, iters=it, final_change=change,
+    return SolverState(X=X, Z=Z, Lam=cfg.nu * U, iters=it, final_change=change,
                        converged=converged, history=history[:it].copy())
 
 

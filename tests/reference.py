@@ -1,5 +1,5 @@
 """Dense all-pairs references for the k-NN graph, cluster extraction and the
-theory interval quantities.
+theory interval quantities, and the unscaled ADMM loop.
 
 Each builds the O(m^2) (or O(m^2 n)) intermediate the package avoids: the
 full squared-distance matrix ranked by a stable argsort, the thresholded
@@ -7,15 +7,21 @@ full squared-distance matrix ranked by a stable argsort, the thresholded
 sets.  Shares no code path with the package's k-d tree, connected-components
 or closed-form cluster-mean code.  The interval lower bound is also evaluated
 one cluster at a time, as a loop reference for the package's array form, and
-linkage clustering updates one upper-triangle entry at a time.
+linkage clustering updates one upper-triangle entry at a time.  The ADMM
+reference iterates the unscaled multiplier Lam with the sign-form
+soft-threshold, against the package's scaled-dual loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from scipy.spatial.distance import pdist, squareform
 
-from convexcluster.core import center_columns, contiguous_order, difference_operator, index_sets
+from convexcluster.core import (center_columns, check_data, contiguous_order, difference_operator,
+                                index_sets)
+from convexcluster.solver import SolverConfig, SolverState, _fidelity_factor, incidence
 
 
 def knn_edges_dense(A, r: float, k: int):
@@ -123,3 +129,66 @@ def hierarchical_loop(A, k: int, linkage: str) -> np.ndarray:
         work[:, b] = np.inf
         member_of[member_of == b] = a
     return member_of
+
+
+def soft_threshold_sign(v, t):
+    """sign(v) * max(|v| - t, 0), elementwise."""
+    v = np.asarray(v, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("soft-threshold amount must be >= 0")
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def admm_unscaled(A, edges, cfg: SolverConfig, init: SolverState | None = None) -> SolverState:
+    """ADMM with the unscaled multiplier: Lam / nu in the split update and
+    Lam + nu (Z - D) in the dual step, every iteration."""
+    A = check_data(A)
+    m, n = A.shape
+    if edges.m != m:
+        raise ValueError(f"edge set is over {edges.m} nodes but data has {m} rows")
+    E = edges.n_edges
+    c_half = cfg.c / (2.0 * _fidelity_factor(cfg.convention))
+
+    if E == 0 or c_half == 0.0:
+        X = A.copy()
+        D = X[edges.pairs[:, 0]] - X[edges.pairs[:, 1]] if E else np.zeros((0, n))
+        return SolverState(X=X, Z=D, Lam=np.zeros((E, n)), iters=1,
+                           final_change=0.0, converged=True, history=np.zeros(1))
+
+    Einc = incidence(edges)
+    EincT = Einc.T.tocsr()
+    lap = (EincT @ Einc).tocsc()
+    lu = splu((sp.identity(m, format="csc") + cfg.nu * lap).tocsc())
+    thresh = (c_half / cfg.nu) * edges.weights[:, None]
+
+    if init is not None:
+        X = np.array(init.X, dtype=float, copy=True)
+        Z = np.array(init.Z, dtype=float, copy=True)
+        Lam = np.array(init.Lam, dtype=float, copy=True)
+        if X.shape != (m, n) or Z.shape != (E, n) or Lam.shape != (E, n):
+            raise ValueError("warm-start state shapes do not match problem")
+    else:
+        X = np.zeros((m, n))
+        Z = np.zeros((E, n))
+        Lam = np.zeros((E, n))
+
+    history = np.empty(cfg.max_iter)
+    converged = False
+    change = np.inf
+    it = 0
+    for it in range(1, cfg.max_iter + 1):
+        rhs = A + EincT @ (cfg.nu * Z + Lam)
+        X_new = lu.solve(rhs)
+        D = Einc @ X_new
+        Z = soft_threshold_sign(D - Lam / cfg.nu, thresh)
+        Lam = Lam + cfg.nu * (Z - D)
+        change = float(np.linalg.norm(X_new - X))
+        X = X_new
+        history[it - 1] = change
+        if change <= cfg.tol:
+            converged = True
+            break
+
+    return SolverState(X=X, Z=Z, Lam=Lam, iters=it, final_change=change,
+                       converged=converged, history=history[:it].copy())

@@ -95,6 +95,20 @@ def test_cluster_labels_out_and_timing(ball_csv, tmp_path, capsys):
     assert labels.size == 24
 
 
+def test_timing_is_a_cluster_and_bench_flag_only(ball_csv, tmp_path, capsys):
+    for command in ("cluster", "bench"):
+        assert cli.build_parser().parse_args([command, str(ball_csv), "--timing"]).timing
+    # path writes a CSV with no report to carry the time, so it rejects the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["path", str(ball_csv), "--timing"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "path.cfg"
+    cfg.write_text("timing=true\n")
+    code, _, err = run_cli(["path", str(ball_csv), "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "unknown config keys: ['timing']" in err
+
+
 def test_cluster_report_deterministic(ball_csv, capsys):
     args = ["cluster", str(ball_csv), "--label-column", "label", "--c", "2.5",
             "--r", "0.8", "--knn", "full"]

@@ -91,6 +91,7 @@ def test_exact_clustering_check_examples():
     assert not res.ok
     i, j = res.violation
     assert [0, 0, 1, 1][i] != [0, 0, 1, 1][j]
+    assert res.violation == (0, 2)  # the lexicographically first violation
 
     gen = np.random.default_rng(4)
     X = gen.normal(size=(5, 2))

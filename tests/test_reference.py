@@ -1,5 +1,5 @@
-"""The sparse k-NN graph, extraction, theory quantities and linkage
-clustering against the dense all-pairs references in ``reference.py``."""
+"""The sparse k-NN graph, extraction, theory quantities, linkage clustering
+and the scaled-dual ADMM loop against the references in ``reference.py``."""
 
 import math
 
@@ -8,11 +8,13 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from convexcluster.baselines import hierarchical
+from convexcluster.datagen import embedded_circles
 from convexcluster.extraction import canonical_labels, extract_clusters
+from convexcluster.solver import SolverConfig, SolverState, admm_solve, soft_threshold
 from convexcluster.theory import c_interval_k, c_interval_two
 from convexcluster.weights import gaussian_edges, gaussian_weights, knn_sparsify
-from reference import (hierarchical_loop, knn_edges_dense, kappa_lower_loop, tau_gamma_dense,
-                       threshold_components_dense)
+from reference import (admm_unscaled, hierarchical_loop, knn_edges_dense, kappa_lower_loop,
+                       soft_threshold_sign, tau_gamma_dense, threshold_components_dense)
 
 
 def _tie_heavy_inputs():
@@ -106,3 +108,63 @@ def test_theory_tau_and_gamma_match_dense_reference(K):
         rep = c_interval_two(A, labels, r) if K == 2 else c_interval_k(A, labels, r)
         assert rep.kappa_lower == kappa_lower_loop(rep.gamma_min_within, rep.gamma_max_between,
                                                    rep.sizes, rep.diameters)
+
+
+def _small_full():
+    A = np.random.default_rng(21).normal(size=(8, 3))
+    return A, gaussian_edges(A, 0.3, "full")
+
+
+def _circles_knn():
+    A = embedded_circles(0)[0][::5]
+    return A, gaussian_edges(A, 0.5, 10)
+
+
+def _random_state(A, edges, seed):
+    gen = np.random.default_rng(seed)
+    return SolverState(X=gen.normal(size=A.shape), Z=gen.normal(size=(edges.n_edges, A.shape[1])),
+                       Lam=gen.normal(size=(edges.n_edges, A.shape[1])), iters=0,
+                       final_change=0.0, converged=False)
+
+
+@pytest.mark.parametrize("case", ["full-cold", "circles-cold", "warm", "capped"])
+def test_scaled_admm_bit_identical_to_unscaled_at_unit_nu(case):
+    A, edges = _circles_knn() if case == "circles-cold" else _small_full()
+    cfg = SolverConfig(c=0.5, tol=1e-8, max_iter=100000)
+    init = None
+    if case == "circles-cold":
+        cfg = SolverConfig(c=1e3, tol=1e-5, max_iter=5000)
+    elif case == "warm":
+        init = _random_state(A, edges, 22)
+    elif case == "capped":
+        cfg = SolverConfig(c=0.5, tol=1e-12, max_iter=7)
+    got, ref = admm_solve(A, edges, cfg, init), admm_unscaled(A, edges, cfg, init)
+    assert got.converged == ref.converged == (case != "capped")
+    assert got.iters == ref.iters
+    assert got.final_change == ref.final_change
+    for name in ("X", "Z", "Lam", "history"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("nu", [0.1, 10.0])
+def test_scaled_admm_matches_unscaled_off_unit_nu(nu):
+    A, edges = _small_full()
+    for init in (None, _random_state(A, edges, 23)):
+        cfg = SolverConfig(c=0.5, nu=nu, tol=1e-8, max_iter=100000)
+        got, ref = admm_solve(A, edges, cfg, init), admm_unscaled(A, edges, cfg, init)
+        assert got.converged and ref.converged
+        assert got.iters == ref.iters
+        for name in ("X", "Z", "Lam"):
+            assert _rel_close(getattr(got, name), getattr(ref, name)), name
+
+
+def test_soft_threshold_matches_sign_form_on_special_values():
+    v = np.array([0.0, -0.0, 1.5, -1.5, 0.25, -0.25, np.inf, -np.inf, np.nan])
+    per_row = np.array([[0.0], [0.5], [np.inf]])
+    grid = np.tile(v, (3, 1))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN in both forms
+        for t in (0.0, 0.5, np.inf):
+            assert np.array_equal(soft_threshold(v, t), soft_threshold_sign(v, t),
+                                  equal_nan=True), t
+        assert np.array_equal(soft_threshold(grid, per_row), soft_threshold_sign(grid, per_row),
+                              equal_nan=True)
