@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,23 +29,113 @@ def canonical_labels(raw) -> Assignment:
     return Assignment(labels=labels, k=int(labels.max()) + 1)
 
 
+# Nearest neighbours each row is linked to directly.  Rows of a fused cluster
+# beyond them are reached by joining the linked components, so no pass lists
+# the O(s^2) pairs inside a cluster of s rows.
+_NEIGHBOURS = 8
+# Relative margin for the k-d tree's own rounding of distances.
+_MARGIN = 1e-9
+# The tree compares squared distances with the squared bound, and tol**2
+# underflows below about 1.5e-154; this floor keeps the bound a normal float.
+_MIN_REACH = 1e-150
+
+
+def _dist(X, rows, cols) -> np.ndarray:
+    """The ``pdist`` distance between rows ``rows[i]`` and ``cols[i]`` of X."""
+    return np.sqrt(pair_sqdist(X, np.column_stack([rows, cols])))
+
+
+def _ball_pairs(tree: cKDTree, points, r) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every tree row j within ``r`` of ``points[i]``."""
+    near = tree.query_ball_point(points, r)
+    lengths = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    return (np.repeat(np.arange(len(near)), lengths),
+            np.fromiter(chain.from_iterable(near), dtype=np.intp, count=lengths.sum()))
+
+
+def _components(rows, cols, size: int) -> np.ndarray:
+    graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
+    return connected_components(graph, directed=False)[1]
+
+
+def _touches(X, small, big, big_tree, merge_tol, reach) -> bool:
+    """Whether a row of ``small`` is within ``merge_tol`` of a row of ``big``.
+
+    The tree's nearest row decides almost every case.  Only where it lies
+    inside the reach but fails the exact test can rounding hide a closer
+    row, so those rows check everything within the reach.
+    """
+    _, j = big_tree.query(X[small], distance_upper_bound=reach)
+    found = j < big.size
+    rows = small[found]
+    if np.any(_dist(X, rows, big[j[found]]) <= merge_tol):
+        return True
+    i, j = _ball_pairs(big_tree, X[rows], reach)
+    return bool(np.any(_dist(X, rows[i], big[j]) <= merge_tol))
+
+
 def extract_clusters(X, merge_tol: float = 1e-8) -> Assignment:
     """Connected components of the graph joining rows at distance <= ``merge_tol``.
 
     The boundary is inclusive, and merging is transitive, so chains of
     borderline rows collapse into one cluster.  ``merge_tol=0`` groups only
     exactly equal rows.  Distances are the values ``pdist(X)`` gives; the k-d
-    tree only proposes candidate pairs, with a relative 1e-9 margin for its
-    own rounding.
+    tree only proposes candidates, with a relative 1e-9 margin for its own
+    rounding.
+
+    Cost: O(m K log m) time to link each row to its K = 8 nearest rows
+    within ``merge_tol``.  Only rows with all K links can have a partner
+    beyond them; the linked components holding such rows are bounded by
+    balls, and each pair of balls that comes within ``merge_tol`` costs one
+    distance, or one nearest-row query sized by the smaller component.
+    Memory is O(m K): the pairs inside a fused cluster are never listed, so
+    3 fused clusters of 1000 rows cost about as much as 3000 separate rows.
     """
     X = check_data(X)
     if merge_tol < 0:
         raise ValueError(f"merge_tol must be >= 0, got {merge_tol}")
     m = X.shape[0]
-    pairs = cKDTree(X).query_pairs(merge_tol * (1.0 + 1e-9), output_type="ndarray")
-    pairs = pairs[np.sqrt(pair_sqdist(X, pairs)) <= merge_tol]
-    graph = sp.coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(m, m))
-    return canonical_labels(connected_components(graph, directed=False)[1])
+    reach = max(_MIN_REACH, merge_tol * (1.0 + _MARGIN))
+
+    # 1. link each row to its nearest rows within merge_tol.  A row with a
+    # free slot left has every row within the reach listed, so an unlisted
+    # pair within merge_tol joins two crowded rows.
+    _, nbr = cKDTree(X).query(X, k=np.arange(1, _NEIGHBOURS + 2), distance_upper_bound=reach)
+    rows = np.repeat(np.arange(m), nbr.shape[1])
+    cols = nbr.ravel()
+    keep = (cols < m) & (cols != rows)
+    rows, cols = rows[keep], cols[keep]
+    keep = _dist(X, rows, cols) <= merge_tol
+    comp = _components(rows[keep], cols[keep], m)
+    crowded = np.flatnonzero(nbr[:, -1] < m)
+    if crowded.size == 0:
+        return canonical_labels(comp)
+
+    # 2. bound the crowded rows of each component by a ball around the first
+    order = crowded[np.argsort(comp[crowded], kind="stable")]
+    group, starts, sizes = np.unique(comp[order], return_index=True, return_counts=True)
+    rep = order[starts]
+    radius = np.maximum.reduceat(_dist(X, np.repeat(rep, sizes), order), starts)
+    # a pair of groups is listed from the one with the larger radius
+    a, b = _ball_pairs(cKDTree(X[rep]), X[rep], 2.0 * radius * (1.0 + _MARGIN) + reach)
+    keep = (radius[b] < radius[a]) | ((radius[b] == radius[a]) & (b < a))
+    a, b = a[keep], b[keep]
+    gap = _dist(X, rep[a], rep[b])
+    keep = gap <= (radius[a] + radius[b]) * (1.0 + _MARGIN) + reach
+    a, b, gap = a[keep], b[keep], gap[keep]
+
+    # 3. join the pairs whose first rows are within merge_tol, and decide the
+    # rest from nearest rows
+    joined = gap <= merge_tol
+    members = np.split(order, starts[1:])
+    trees: dict[int, cKDTree] = {}
+    for i in np.flatnonzero(~joined):
+        p, q = (a[i], b[i]) if sizes[a[i]] <= sizes[b[i]] else (b[i], a[i])
+        if q not in trees:
+            trees[q] = cKDTree(X[members[q]])
+        joined[i] = _touches(X, members[p], members[q], trees[q], merge_tol, reach)
+    a, b = group[a[joined]], group[b[joined]]
+    return canonical_labels(_components(a, b, comp.max() + 1)[comp])
 
 
 @dataclass(frozen=True)

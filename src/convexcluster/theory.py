@@ -146,6 +146,9 @@ def _prepared(A, labels) -> _Prepared:
     return _Prepared(
         sizes=sizes, stats=stats,
         within_d2=stats.max_dia ** 2 if max(sizes) >= 2 else math.nan,
+        # stats.min_dist stays measured on the raw rows: the centered rows
+        # round differently, and sqrt(cross_d2.min()) differs from it in the
+        # last bit on some inputs (a 2-cluster ball model with m = 20, seed 0)
         cross_d2=cdist(groups[0], groups[1], "sqeuclidean") if len(groups) == 2 else None,
         tau_by_pair=tau_by_pair,
         zero_dims={p: tuple(int(q) for q in np.nonzero(t == 0)[0]) for p, t in tau_by_pair.items()},

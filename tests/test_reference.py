@@ -2,10 +2,12 @@
 and the scaled-dual ADMM loop against the references in ``reference.py``."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist, squareform
 
 from convexcluster.baselines import hierarchical
 from convexcluster.datagen import embedded_circles
@@ -80,6 +82,105 @@ def test_extraction_matches_reference_on_near_fused_rows():
         for tol in (0.0, 1e-9, 1e-8, 1e-7):
             assert np.array_equal(extract_clusters(X, tol).labels,
                                   threshold_components_dense(X, tol))
+
+
+def _assert_extraction_matches(X, tol):
+    got = extract_clusters(X, tol).labels
+    assert np.array_equal(got, threshold_components_dense(X, tol)), tol
+    return got
+
+
+def test_extraction_matches_reference_on_large_fused_cliques():
+    # every row has more than 8 neighbours within the tolerance
+    gen = np.random.default_rng(12)
+    X = np.repeat(gen.normal(size=(3, 6)), 400, axis=0)
+    X = (X + gen.normal(size=X.shape) * 1e-6)[gen.permutation(1200)]
+    for tol in (1e-7, 1e-5, 1e-3):
+        _assert_extraction_matches(X, tol)
+    assert extract_clusters(X, 1e-3).k == 3
+
+
+def test_extraction_decides_crowded_cliques_at_their_closest_pair():
+    # two cliques of 30 jittered rows; merge_tol at the closest cross pair's
+    # pdist distance and one ulp either side
+    gen = np.random.default_rng(13)
+    for n in (2, 9, 40):
+        centers = np.zeros((2, n))
+        centers[1, 0] = 1.0
+        X = np.repeat(centers, 30, axis=0) + gen.normal(size=(60, n)) * 1e-3
+        X = X[gen.permutation(60)]
+        dist = squareform(pdist(X))
+        side = X[:, 0] > 0.5
+        d = dist[np.ix_(side, ~side)].min()
+        for tol, fused in ((np.nextafter(d, 0.0), False), (d, True), (np.nextafter(d, np.inf), True)):
+            got = _assert_extraction_matches(X, tol)
+            assert (got.max() == 0) == fused
+
+
+def test_extraction_joins_clumps_the_nearest_neighbour_links_keep_apart():
+    # clumps of 12 near-equal rows along a line: each row's 8 nearest rows
+    # are in its own clump, so the linked components are the clumps, and
+    # clumps less than merge_tol apart must be joined afterwards
+    gen = np.random.default_rng(14)
+    tol = 1e-2
+    for gaps, k in (((0.4, 0.4, 0.4, 0.4), 1), ((0.4, 1.1, 0.4, 0.9), 2)):
+        centers = np.zeros((5, 4))
+        centers[1:, 0] = np.cumsum(gaps) * tol
+        X = np.repeat(centers, 12, axis=0) + gen.normal(size=(60, 4)) * 1e-9
+        X = X[gen.permutation(60)]
+        assert _assert_extraction_matches(X, tol).max() + 1 == k
+
+
+def test_extraction_finds_a_partner_the_tree_ranks_behind_a_rounding_tie():
+    # d and a permutation of d have the same length up to rounding, and the
+    # k-d tree sums squares in another order than pdist, so its nearest row
+    # can be the one whose pdist distance is the larger.  Row 0 sits at the
+    # origin; nine copies of d fill its neighbour slots, nine copies of the
+    # permutation and an arc outside the sphere join both into one component
+    # whose first row is a copy of d.
+    gen = np.random.default_rng(15)
+    n = 24
+    for _ in range(200):
+        d1 = gen.normal(size=n)
+        d2 = d1[gen.permutation(n)]
+        tree_d, order = cKDTree(np.stack([d1, d2])).query(np.zeros(n), k=2)
+        exact = pdist(np.stack([np.zeros(n), d1, d2]))[:2]
+        if order[0] == 0 and tree_d[0] < tree_d[1] and exact[0] > exact[1]:
+            break
+    tol = exact[1]
+    u1, u2 = d1 / np.linalg.norm(d1), d2 / np.linalg.norm(d2)
+    angle = np.arccos(u1 @ u2)
+    steps = np.linspace(0.0, 1.0, 16)[:, None]
+    arc = (np.sin((1 - steps) * angle) * u1 + np.sin(steps * angle) * u2) / np.sin(angle)
+    X = np.vstack([np.zeros(n), np.tile(d1, (9, 1)), np.tile(d2, (9, 1)), 1.5 * tol * arc])
+    got = _assert_extraction_matches(X, tol)
+    assert got[0] == got[1] == got[10]
+
+
+def test_extraction_exact_duplicates_at_zero_and_subnormal_tolerance():
+    gen = np.random.default_rng(16)
+    X = np.repeat(gen.normal(size=(7, 3)), gen.integers(1, 25, size=7), axis=0)
+    X = X[gen.permutation(X.shape[0])]
+    for tol in (0.0, 1e-200):
+        assert _assert_extraction_matches(X, tol).max() == 6
+    # rows 1e-180 apart: pdist squares the gap to 0, so they are at distance 0
+    tiny = np.array([[0.0, 0.0], [1e-180, 0.0], [3e-160, 0.0], [1.0, 1.0]])
+    for tol in (0.0, 1e-200, 2e-160, 3e-160, 1e-150):
+        _assert_extraction_matches(tiny, tol)
+
+
+def test_extraction_memory_does_not_grow_with_fused_pairs():
+    # 3 x 1000 near-equal rows hold 1.5 million fused pairs; a pass that
+    # lists them peaks at about 80 MB
+    gen = np.random.default_rng(17)
+    X = np.repeat(gen.normal(size=(3, 2)) * 4.0, 1000, axis=0) + gen.normal(size=(3000, 2)) * 1e-5
+    tracemalloc.start()
+    try:
+        assert extract_clusters(X, 1e-3).k == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
 
 
 def _rel_close(a, b, rtol=1e-12):
