@@ -20,7 +20,6 @@ from .solver import (
     SolverConfig,
     SolverState,
     admm_solve,
-    augmented_lagrangian,
     kkt_residual,
     objective,
     soft_threshold,

@@ -15,6 +15,16 @@ The ADMM loop runs in scaled form (Boyd et al. 2011, section 3.1.1): it keeps
 the scaled dual U = Lam / nu, so no iteration divides by nu, and converts
 back once on exit.  Every returned state reports the unscaled multiplier
 Lam = nu * U.
+
+The centroid update solves with I + nu*L, where L = E^T E is the graph
+Laplacian.  That matrix is symmetric positive definite and strictly diagonally
+dominant: each diagonal entry exceeds its off-diagonal row sum by exactly 1.
+It is therefore factored once per solve with a symmetric minimum-degree
+ordering and no pivoting.  SuperLU's general-matrix default (COLAMD ordering,
+partial pivoting) roughly doubles the fill on k-NN graphs: on the ball model
+at m = 3000 with k-NN 10 its factor has 235k nonzeros against 117k, and a
+solve with it takes about 1.7 times as long.  The iteration itself works on
+E x n arrays allocated once per solve.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import lsq_linear
 from scipy.sparse.linalg import splu
 
 from .core import _incidence, check_data
@@ -114,23 +123,20 @@ def objective(A, X, edges: EdgeSet, c: float, convention: str = PAPER) -> float:
     return fid + c * float(edges.weights @ np.abs(diffs).sum(axis=1))
 
 
-def augmented_lagrangian(A, X, Z, Lam, edges: EdgeSet, c: float, nu: float,
-                         convention: str = PAPER) -> float:
-    """The merit function the ADMM blocks minimize (always half fidelity).
+def _factor(edges: EdgeSet, nu: float):
+    """E, E^T as CSR, and the sparse LU factor of I + nu * E^T E.
 
-    With the paper convention the penalty weight is c/2, matching the
-    internal rescaling of :func:`admm_solve`.
+    The matrix is symmetric and strictly diagonally dominant, so SuperLU runs
+    in symmetric mode on a minimum-degree ordering of A^T + A and takes every
+    pivot from the diagonal.
     """
-    # paper objective = 2 * (half objective with c/2), so the internal
-    # half-fidelity penalty weight is c / (2a)
-    c_half = c / (2.0 * _fidelity_factor(convention))
-    D = X[edges.pairs[:, 0]] - X[edges.pairs[:, 1]]
-    R = Z - D
-    val = 0.5 * float(np.sum((A - X) ** 2))
-    val += c_half * float(edges.weights @ np.abs(Z).sum(axis=1))
-    val += float(np.sum(Lam * R))
-    val += 0.5 * nu * float(np.sum(R ** 2))
-    return val
+    Einc = incidence(edges)
+    EincT = Einc.T.tocsr()
+    lap = (EincT @ Einc).tocsc()
+    lu = splu((sp.identity(edges.m, format="csc") + nu * lap).tocsc(),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return Einc, EincT, lu
 
 
 def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = None) -> SolverState:
@@ -162,32 +168,42 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
         return SolverState(X=X, Z=D, Lam=np.zeros((E, n)), iters=1,
                            final_change=0.0, converged=True, history=np.zeros(1))
 
-    Einc = incidence(edges)
-    EincT = Einc.T.tocsr()
-    lap = (EincT @ Einc).tocsc()
-    lu = splu((sp.identity(m, format="csc") + cfg.nu * lap).tocsc())
-    thresh = (c_half / cfg.nu) * edges.weights[:, None]
+    nu = cfg.nu
+    Einc, EincT, lu = _factor(edges, nu)
+    # soft_threshold(W, t) = W - clip(W, -t, t), with t spread to E x n once
+    hi = np.ascontiguousarray(np.broadcast_to((c_half / nu) * edges.weights[:, None], (E, n)))
+    lo = -hi
 
     if init is not None:
         X = np.array(init.X, dtype=float, copy=True)
         Z = np.array(init.Z, dtype=float, copy=True)
-        U = np.asarray(init.Lam, dtype=float) / cfg.nu
+        U = np.asarray(init.Lam, dtype=float) / nu
         if X.shape != (m, n) or Z.shape != (E, n) or U.shape != (E, n):
             raise ValueError("warm-start state shapes do not match problem")
     else:
         X = np.zeros((m, n))
         Z = np.zeros((E, n))
         U = np.zeros((E, n))
+    # Z and U are fresh arrays owned by this call, so the loop updates them in
+    # place; W is the one E x n work buffer.
+    W = np.empty((E, n))
 
     history = np.empty(cfg.max_iter)
     converged = False
     change = np.inf
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        X_new = lu.solve(A + cfg.nu * (EincT @ (Z + U)))
+        np.add(Z, U, out=W)
+        R = EincT @ W
+        R *= nu
+        R += A
+        X_new = lu.solve(R)
         D = Einc @ X_new
-        Z = soft_threshold(D - U, thresh)
-        U += Z - D
+        np.subtract(D, U, out=W)
+        np.clip(W, lo, hi, out=Z)
+        np.subtract(W, Z, out=Z)
+        np.subtract(Z, D, out=W)
+        U += W
         change = float(np.linalg.norm(X_new - X))
         X = X_new
         history[it - 1] = change
@@ -195,7 +211,7 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
             converged = True
             break
 
-    return SolverState(X=X, Z=Z, Lam=cfg.nu * U, iters=it, final_change=change,
+    return SolverState(X=X, Z=Z, Lam=nu * U, iters=it, final_change=change,
                        converged=converged, history=history[:it].copy())
 
 
@@ -216,6 +232,8 @@ def kkt_residual(A, X, edges: EdgeSet, c: float, convention: str = PAPER,
     grad_fid = 2.0 * a * (X - A)
     if edges.n_edges == 0 or c == 0:
         return float(np.linalg.norm(grad_fid))
+
+    from scipy.optimize import lsq_linear  # imported here: it costs ~0.1 s of every start
 
     Einc = incidence(edges)
     EincT = Einc.T.tocsr()

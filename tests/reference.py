@@ -1,5 +1,5 @@
 """Dense all-pairs references for the k-NN graph, cluster extraction and the
-theory interval quantities, and the unscaled ADMM loop.
+theory interval quantities, the unscaled ADMM loop and its merit function.
 
 Each builds the O(m^2) (or O(m^2 n)) intermediate the package avoids: the
 full squared-distance matrix ranked by a stable argsort, the thresholded
@@ -9,7 +9,9 @@ or closed-form cluster-mean code.  The interval lower bound is also evaluated
 one cluster at a time, as a loop reference for the package's array form, and
 linkage clustering updates one upper-triangle entry at a time.  The ADMM
 reference iterates the unscaled multiplier Lam with the sign-form
-soft-threshold, against the package's scaled-dual loop.
+soft-threshold, against the package's scaled-dual loop; it shares only the
+factor of I + nu*L with the package, so both loops run on the same factor.
+That factor in turn has a reference: SuperLU's general-matrix default.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from convexcluster.core import (center_columns, check_data, contiguous_order, difference_operator,
                                 index_sets)
-from convexcluster.solver import SolverConfig, SolverState, _fidelity_factor, incidence
+from convexcluster.solver import (PAPER, SolverConfig, SolverState, _factor, _fidelity_factor,
+                                  incidence)
 
 
 def knn_edges_dense(A, r: float, k: int):
@@ -140,6 +143,34 @@ def soft_threshold_sign(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+def general_factor(edges, nu: float):
+    """``solver._factor`` as for a general matrix: SuperLU's default COLAMD
+    ordering with partial pivoting."""
+    Einc = incidence(edges)
+    EincT = Einc.T.tocsr()
+    lap = (EincT @ Einc).tocsc()
+    return Einc, EincT, splu((sp.identity(edges.m, format="csc") + nu * lap).tocsc())
+
+
+def augmented_lagrangian(A, X, Z, Lam, edges, c: float, nu: float,
+                         convention: str = PAPER) -> float:
+    """The merit function the ADMM blocks minimize (always half fidelity).
+
+    With the paper convention the penalty weight is c/2, matching the
+    internal rescaling of ``admm_solve``.
+    """
+    # paper objective = 2 * (half objective with c/2), so the internal
+    # half-fidelity penalty weight is c / (2a)
+    c_half = c / (2.0 * _fidelity_factor(convention))
+    D = X[edges.pairs[:, 0]] - X[edges.pairs[:, 1]]
+    R = Z - D
+    val = 0.5 * float(np.sum((A - X) ** 2))
+    val += c_half * float(edges.weights @ np.abs(Z).sum(axis=1))
+    val += float(np.sum(Lam * R))
+    val += 0.5 * nu * float(np.sum(R ** 2))
+    return val
+
+
 def admm_unscaled(A, edges, cfg: SolverConfig, init: SolverState | None = None) -> SolverState:
     """ADMM with the unscaled multiplier: Lam / nu in the split update and
     Lam + nu (Z - D) in the dual step, every iteration."""
@@ -156,10 +187,7 @@ def admm_unscaled(A, edges, cfg: SolverConfig, init: SolverState | None = None) 
         return SolverState(X=X, Z=D, Lam=np.zeros((E, n)), iters=1,
                            final_change=0.0, converged=True, history=np.zeros(1))
 
-    Einc = incidence(edges)
-    EincT = Einc.T.tocsr()
-    lap = (EincT @ Einc).tocsc()
-    lu = splu((sp.identity(m, format="csc") + cfg.nu * lap).tocsc())
+    Einc, EincT, lu = _factor(edges, cfg.nu)
     thresh = (c_half / cfg.nu) * edges.weights[:, None]
 
     if init is not None:

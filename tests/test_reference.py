@@ -1,22 +1,25 @@
-"""The sparse k-NN graph, extraction, theory quantities, linkage clustering
-and the scaled-dual ADMM loop against the references in ``reference.py``."""
+"""The sparse k-NN graph, extraction, theory quantities, linkage clustering,
+the scaled-dual ADMM loop and its factor of I + nu*L against the references in
+``reference.py``."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
+from convexcluster import solver
 from convexcluster.baselines import hierarchical
-from convexcluster.datagen import embedded_circles
+from convexcluster.datagen import BallModelSpec, embedded_circles, stochastic_ball
 from convexcluster.extraction import canonical_labels, extract_clusters
 from convexcluster.solver import SolverConfig, SolverState, admm_solve, soft_threshold
 from convexcluster.theory import c_interval_k, c_interval_two
 from convexcluster.weights import gaussian_edges, gaussian_weights, knn_sparsify
-from reference import (admm_unscaled, hierarchical_loop, knn_edges_dense, kappa_lower_loop,
-                       soft_threshold_sign, tau_gamma_dense, threshold_components_dense)
+from reference import (admm_unscaled, general_factor, hierarchical_loop, knn_edges_dense,
+                       kappa_lower_loop, soft_threshold_sign, tau_gamma_dense, threshold_components_dense)
 
 
 def _tie_heavy_inputs():
@@ -257,6 +260,42 @@ def test_scaled_admm_matches_unscaled_off_unit_nu(nu):
         assert got.iters == ref.iters
         for name in ("X", "Z", "Lam"):
             assert _rel_close(getattr(got, name), getattr(ref, name)), name
+
+
+def _factor_case(case):
+    if case == "ball":
+        angle = 0.198
+        centers = np.array([[0.0, 0.0], [4.5 * math.cos(angle), 4.5 * math.sin(angle)],
+                            [1.8, 6.0]])
+        A, _ = stochastic_ball(BallModelSpec(centers=centers, per_cluster=1000, seed=0))
+        return A, gaussian_edges(A, 1.0, 10), SolverConfig(c=10.0, tol=1e-4)
+    if case.startswith("circles"):
+        A, _ = embedded_circles(seed=1)
+        return (A, gaussian_edges(A, 3.0, 10),
+                SolverConfig(c=float(case.split("-")[1]), tol=1e-5, max_iter=40000))
+    A, edges = _small_full()
+    return A, edges, SolverConfig(c=0.5, tol=1e-8, max_iter=100000)
+
+
+@pytest.mark.parametrize("case", ["ball", "circles-351.1", "circles-1520", "small-full"])
+def test_symmetric_factor_matches_general_factor(case, monkeypatch):
+    A, edges, cfg = _factor_case(case)
+    got = admm_solve(A, edges, cfg)
+    monkeypatch.setattr(solver, "_factor", general_factor)
+    ref = admm_solve(A, edges, cfg)
+    assert got.converged == ref.converged
+    assert got.iters == ref.iters
+    merge_tol = 10.0 * cfg.tol
+    assert np.array_equal(extract_clusters(got.X, merge_tol).labels,
+                          extract_clusters(ref.X, merge_tol).labels)
+    assert _rel_close(got.X, ref.X)
+
+    E = solver.incidence(edges)
+    M = sp.identity(edges.m) + cfg.nu * (E.T @ E)
+    B = np.random.default_rng(24).normal(size=A.shape)
+    for factor in (solver._factor, general_factor):
+        lu = factor(edges, cfg.nu)[2]
+        assert np.abs(M @ lu.solve(B) - B).max() <= 1e-13 * np.abs(B).max(), factor.__name__
 
 
 def test_soft_threshold_matches_sign_form_on_special_values():

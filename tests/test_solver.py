@@ -6,15 +6,16 @@ from convexcluster.solver import (
     PAPER,
     SolverConfig,
     admm_solve,
-    augmented_lagrangian,
     incidence,
     kkt_residual,
     objective,
     soft_threshold,
 )
+from convexcluster import extraction
 from convexcluster.weights import EdgeSet, gaussian_edges
 
 from oracle import reference_minimizer
+from reference import augmented_lagrangian
 
 TWO_POINTS = np.array([[0.0], [2.0]])
 TWO_EDGE = EdgeSet(m=2, pairs=[[0, 1]], weights=[1.0])
@@ -115,6 +116,47 @@ def test_x_update_matches_dense_solve_and_descends():
     Z1 = soft_threshold(E @ X1 - Lam / nu, thr)
     after_z = augmented_lagrangian(A, X1, Z1, Lam, edges, c, nu, HALF)
     assert after_z <= after_x + 1e-12
+
+
+def _arrays(state):
+    return {name: np.array(getattr(state, name), copy=True) for name in ("X", "Z", "Lam")}
+
+
+def _assert_arrays_equal(state, arrays):
+    for name, value in arrays.items():
+        assert np.array_equal(getattr(state, name), value), name
+
+
+def test_in_place_loop_leaves_warm_start_and_earlier_states_unchanged(monkeypatch):
+    gen = np.random.default_rng(12)
+    A = gen.normal(size=(10, 3))
+    edges = gaussian_edges(A, 0.3, "full")
+    cfg = SolverConfig(c=0.5, tol=1e-8, max_iter=10000)
+    init = admm_solve(A, edges, SolverConfig(c=0.2, tol=1e-8, max_iter=10000))
+    before = _arrays(init)
+    first = admm_solve(A, edges, cfg, init)
+    _assert_arrays_equal(init, before)
+    second = admm_solve(A, edges, cfg, init)
+    _assert_arrays_equal(init, before)
+    assert (first.iters, first.converged, first.final_change) == \
+        (second.iters, second.converged, second.final_change)
+    for name in ("X", "Z", "Lam", "history"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+
+    # every state the path hands on as a warm start, and every state it
+    # returned before, stays as it was when it was returned
+    returned = []
+
+    def checked(A, edges, cfg, init=None):
+        state = admm_solve(A, edges, cfg, init)
+        for earlier, arrays in returned:
+            _assert_arrays_equal(earlier, arrays)
+        returned.append((state, _arrays(state)))
+        return state
+
+    monkeypatch.setattr(extraction, "admm_solve", checked)
+    extraction.regularization_path(A, edges, [0.05, 0.2, 0.5, 1.0], cfg)
+    assert len(returned) == 4
 
 
 def test_matches_reference_minimizer_on_random_instances():
