@@ -124,12 +124,8 @@ def objective(A, X, edges: EdgeSet, c: float, convention: str = PAPER) -> float:
 
 
 def _factor(edges: EdgeSet, nu: float):
-    """E, E^T as CSR, and the sparse LU factor of I + nu * E^T E.
-
-    The matrix is symmetric and strictly diagonally dominant, so SuperLU runs
-    in symmetric mode on a minimum-degree ordering of A^T + A and takes every
-    pivot from the diagonal.
-    """
+    """E, E^T as CSR, and the symmetric-mode LU factor of I + nu * E^T E
+    (minimum-degree ordering, diagonal pivots; see the module docstring)."""
     Einc = incidence(edges)
     EincT = Einc.T.tocsr()
     lap = (EincT @ Einc).tocsc()
@@ -233,7 +229,7 @@ def kkt_residual(A, X, edges: EdgeSet, c: float, convention: str = PAPER,
     if edges.n_edges == 0 or c == 0:
         return float(np.linalg.norm(grad_fid))
 
-    from scipy.optimize import lsq_linear  # imported here: it costs ~0.1 s of every start
+    from scipy.optimize import lsq_linear  # imported here: it adds ~0.15 s to every start
 
     Einc = incidence(edges)
     EincT = Einc.T.tocsr()

@@ -291,9 +291,8 @@ def test_console_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only kkt_residual needs scipy.optimize, and importing it costs every start ~0.1 s
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, convexcluster.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True)
+    # only kkt_residual needs scipy.optimize, and importing it adds ~0.15 s to every start
+    code = "import sys, convexcluster.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

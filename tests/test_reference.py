@@ -19,7 +19,8 @@ from convexcluster.solver import SolverConfig, SolverState, admm_solve, soft_thr
 from convexcluster.theory import c_interval_k, c_interval_two
 from convexcluster.weights import gaussian_edges, gaussian_weights, knn_sparsify
 from reference import (admm_unscaled, general_factor, hierarchical_loop, knn_edges_dense,
-                       kappa_lower_loop, soft_threshold_sign, tau_gamma_dense, threshold_components_dense)
+                       kappa_lower_loop, soft_threshold_sign, tau_gamma_dense,
+                       threshold_components_dense)
 
 
 def _tie_heavy_inputs():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convexcluster import extraction
 from convexcluster.solver import (
     HALF,
     PAPER,
@@ -11,7 +12,6 @@ from convexcluster.solver import (
     objective,
     soft_threshold,
 )
-from convexcluster import extraction
 from convexcluster.weights import EdgeSet, gaussian_edges
 
 from oracle import reference_minimizer
