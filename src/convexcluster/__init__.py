@@ -1,7 +1,6 @@
 """Weighted sum-of-l1-norm convex clustering toolkit."""
 
 from .core import (
-    CenteredData,
     IndexSets,
     center_columns,
     check_data,
@@ -13,7 +12,7 @@ from .core import (
     pair_row_index,
     pos_pair,
 )
-from .weights import EdgeSet, KernelParams, gaussian_edges, gaussian_weights, knn_sparsify
+from .weights import EdgeSet, gaussian_edges, gaussian_weights
 from .solver import (
     HALF,
     PAPER,
@@ -31,7 +30,6 @@ from .extraction import (
     canonical_labels,
     extract_clusters,
     regularization_path,
-    select_c_for_k,
 )
 from .baselines import KMeansResult, hierarchical, kmeanspp_init, lloyd
 from .metrics import (

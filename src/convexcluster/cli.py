@@ -315,8 +315,12 @@ def _bench_task(A, truth, k, inits, task):
 
 def cmd_bench(args) -> int:
     t0 = time.perf_counter()
+    for flag in ("k", "repeats", "inits"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise CliError(f"--{flag} must be >= 1, got {value}")
     A, truth, source = _load_dataset(args, "bench needs truth labels (--label-column)")
-    k = args.k if args.k else int(np.unique(truth).size)
+    k = args.k if args.k is not None else int(np.unique(truth).size)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     known = {"convex", "lloyd", "kmeanspp", "hc-single", "hc-average"}
     bad = set(methods) - known
@@ -437,7 +441,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="cluster extraction threshold (default 10*tol)")
     p.add_argument("--convention", choices=[PAPER, "half"], default=PAPER,
                    help="objective convention for c")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="flat key=value config file; flags override")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
 
@@ -482,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--strict", action="store_true",
                    help="exit 3 when the solver does not converge")
     c.add_argument("--timing", action="store_true", help="include wall time in the report")
+    c.add_argument("--seed", type=int, default=0)
     _add_solver_flags(c)
     c.set_defaults(func=cmd_cluster)
 
@@ -513,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--c-steps", type=int, default=12)
     b.add_argument("--format", choices=["json", "csv"], default="json")
     b.add_argument("--timing", action="store_true", help="include wall time in the report")
+    b.add_argument("--seed", type=int, default=0)
     _add_solver_flags(b)
     b.set_defaults(func=cmd_bench)
 

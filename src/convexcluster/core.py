@@ -52,15 +52,17 @@ def _check_covariance(S) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-@dataclass(frozen=True)
-class CenteredData:
-    """Column-centered data and the removed per-column means."""
+def _check_labels(labels, m: int | None = None) -> np.ndarray:
+    """Validate a label vector (of length ``m`` when given) and return it as an array."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size == 0:
+        raise ValueError("labels must be a non-empty 1-d sequence")
+    if m is not None and labels.size != m:
+        raise ValueError(f"expected {m} labels, got {labels.size}")
+    return labels
 
-    centered: np.ndarray
-    column_means: np.ndarray
 
-
-def center_columns(A) -> CenteredData:
+def center_columns(A) -> np.ndarray:
     """Subtract the per-column mean from every row.
 
     The clustering model is invariant under this transform: the minimizer of
@@ -68,8 +70,7 @@ def center_columns(A) -> CenteredData:
     data shifted by the column means, so cluster memberships are unchanged.
     """
     A = check_data(A)
-    means = A.mean(axis=0)
-    return CenteredData(centered=A - means, column_means=means)
+    return A - A.mean(axis=0)
 
 
 def _incidence(pairs: np.ndarray, m: int) -> sp.csr_matrix:
@@ -149,9 +150,7 @@ def pair_from_row_index(p: int, m: int) -> tuple[int, int]:
 
 def first_occurrence_ranks(labels) -> np.ndarray:
     """Relabel arbitrary cluster ids to 0..K-1, numbered by first occurrence."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError("labels must be a non-empty 1-d sequence")
+    labels = _check_labels(labels)
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[inverse]
 
@@ -202,9 +201,7 @@ def index_sets(labels) -> IndexSets:
     Raises if any cluster occupies a non-contiguous index block; callers
     permute rows first (see :func:`contiguous_order`).
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError("labels must be a non-empty 1-d sequence")
+    labels = _check_labels(labels)
     m = labels.size
     boundaries = np.nonzero(labels[1:] != labels[:-1])[0] + 1
     starts = np.concatenate([[0], boundaries])

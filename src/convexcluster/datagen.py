@@ -151,13 +151,12 @@ def embedded_circles(seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([inner, outer]), labels
 
 
-def save_csv(path, A, labels=None, header: list[str] | None = None,
-             label_name: str = "label") -> None:
+def save_csv(path, A, labels=None) -> None:
     """Write observations (and an optional trailing label column) as CSV.
 
     Values are written with shortest round-trip precision, so decimal-exact
-    data reloads bit-identically.  UTF-8, comma separated, one optional
-    header row.
+    data reloads bit-identically.  UTF-8, comma separated; with labels, one
+    header row ``x0, x1, ..., label``.
     """
     A = check_data(A)
     if labels is not None:
@@ -166,12 +165,8 @@ def save_csv(path, A, labels=None, header: list[str] | None = None,
             raise ValueError("labels length must match row count")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        if header is not None:
-            if len(header) != A.shape[1]:
-                raise ValueError("header length must match column count")
-            w.writerow(list(header) + ([label_name] if labels is not None else []))
-        elif labels is not None:
-            w.writerow([f"x{q}" for q in range(A.shape[1])] + [label_name])
+        if labels is not None:
+            w.writerow([f"x{q}" for q in range(A.shape[1])] + ["label"])
         for i in range(A.shape[0]):
             row = [repr(float(v)) for v in A[i]]
             if labels is not None:

@@ -38,6 +38,8 @@ _MARGIN = 1e-9
 # The tree compares squared distances with the squared bound, and tol**2
 # underflows below about 1.5e-154; this floor keeps the bound a normal float.
 _MIN_REACH = 1e-150
+# Most geometric bisection steps ``find_c_for_k`` takes before giving up.
+_MAX_BISECT = 40
 
 
 def _dist(X, rows, cols) -> np.ndarray:
@@ -153,10 +155,6 @@ class PathResult:
     points: tuple[PathPoint, ...]
 
     @property
-    def c_grid(self) -> np.ndarray:
-        return np.array([p.c for p in self.points])
-
-    @property
     def cluster_counts(self) -> np.ndarray:
         return np.array([p.n_clusters for p in self.points])
 
@@ -206,20 +204,13 @@ def regularization_path(A, edges: EdgeSet, c_grid, cfg: SolverConfig,
     return PathResult(points=tuple(points))
 
 
-def select_c_for_k(path: PathResult, k: int) -> float | None:
-    """Smallest grid c that produced exactly k clusters, else None."""
-    for point in path.points:
-        if point.n_clusters == k:
-            return point.c
-    return None
-
-
 def find_c_for_k(A, edges: EdgeSet, k: int, cfg: SolverConfig, c_grid,
-                 merge_tol: float | None = None, max_bisect: int = 40) -> PathPoint | None:
+                 merge_tol: float | None = None) -> PathPoint | None:
     """Locate a grid (or bisected) c whose extracted partition has k clusters.
 
-    Runs the regularization path over ``c_grid`` first; when the grid steps
-    over k (counts drop from above k to below between neighbors), refines by
+    Runs the regularization path over ``c_grid`` first and returns the
+    smallest grid c with exactly k clusters.  When the grid steps over k
+    (counts drop from above k to below between neighbors), refines by
     geometric bisection.  All solves are cold-started: warm starts can stop
     early mid-merge and corrupt the bracket.  Returns None when no such c is
     found, e.g. when two fusion events coincide.
@@ -227,9 +218,9 @@ def find_c_for_k(A, edges: EdgeSet, k: int, cfg: SolverConfig, c_grid,
     if merge_tol is None:
         merge_tol = 10.0 * cfg.tol
     path = regularization_path(A, edges, c_grid, cfg, merge_tol, warm_start=False)
-    c = select_c_for_k(path, k)
-    if c is not None:
-        return next(p for p in path.points if p.c == c)
+    for point in path.points:
+        if point.n_clusters == k:
+            return point
 
     counts = path.cluster_counts
     above = np.nonzero(counts > k)[0]
@@ -240,7 +231,7 @@ def find_c_for_k(A, edges: EdgeSet, k: int, cfg: SolverConfig, c_grid,
     hi = float(path.points[below.min()].c)
     if lo <= 0:
         lo = hi * 1e-9
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         mid = float(np.sqrt(lo * hi))
         point, _ = _solve_point(A, edges, cfg, mid, merge_tol)
         if point.n_clusters == k:

@@ -7,16 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .core import check_data
-
-
-def _check_labels(labels, m: int | None = None) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError("labels must be a non-empty 1-d sequence")
-    if m is not None and labels.size != m:
-        raise ValueError(f"expected {m} labels, got {labels.size}")
-    return labels
+from .core import _check_labels, check_data
 
 
 def rand_index(a, b) -> float:

@@ -28,8 +28,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import center_columns, check_data, first_occurrence_ranks, _check_covariance
-from .metrics import SeparationStats, cluster_geometry, _check_labels
+from .core import (_check_covariance, _check_labels, center_columns, check_data,
+                   first_occurrence_ranks)
+from .metrics import SeparationStats, cluster_geometry
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def _prepared(A, labels) -> _Prepared:
     A = check_data(A)
     labels = _check_labels(labels, A.shape[0])
     ranks = first_occurrence_ranks(labels)
-    centered = center_columns(A).centered
+    centered = center_columns(A)
     groups = [centered[ranks == k] for k in range(ranks.max() + 1)]
     sizes = tuple(g.shape[0] for g in groups)
     stats = cluster_geometry(A, ranks)
@@ -328,8 +329,12 @@ def feasibility_report(A, labels, r: float) -> FeasibilityReport:
     return _interval(_prepared(A, labels), r)
 
 
-def search_feasible_r(A, labels, r_start: float | None = None, growth: float = 1.4,
-                      max_tries: int = 60) -> FeasibilityReport:
+# Factor by which search_feasible_r grows r, and the most values it tries.
+_R_GROWTH = 1.4
+_R_TRIES = 60
+
+
+def search_feasible_r(A, labels, r_start: float | None = None) -> FeasibilityReport:
     """Grow r geometrically from just above the bandwidth bound until feasible.
 
     The clusters are measured once; each tried r only re-evaluates the closed
@@ -343,17 +348,19 @@ def search_feasible_r(A, labels, r_start: float | None = None, growth: float = 1
         raise ValueError("no finite bandwidth bound: separation condition fails")
     r = r_start if r_start is not None else max(probe.r_min * 1.05, 1e-3)
     last = probe
-    for _ in range(max_tries):
+    for _ in range(_R_TRIES):
         last = _interval(prep, r)
         if last.feasible:
             return last
-        r *= growth
-    raise ValueError(f"no feasible r found after {max_tries} tries (last r={last.r:.4g})")
+        r *= _R_GROWTH
+    raise ValueError(f"no feasible r found after {_R_TRIES} tries (last r={last.r:.4g})")
 
 
 def candidate_c_values(report: FeasibilityReport, count: int = 5) -> np.ndarray:
     """Log-spaced regularization candidates strictly inside the interval,
     ordered from the geometric middle outwards."""
+    if count < 1:
+        raise ValueError(f"candidate count must be >= 1, got {count}")
     if not report.feasible:
         raise ValueError("report is infeasible: no c interval to sample")
     hi = report.kappa_upper

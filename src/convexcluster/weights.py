@@ -1,4 +1,4 @@
-"""Gaussian-kernel pair weights and k-nearest-neighbor graph sparsification."""
+"""Gaussian-kernel pair weights on the full or k-nearest-neighbor graph."""
 
 from __future__ import annotations
 
@@ -9,14 +9,6 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
 from .core import all_pairs, check_data, pair_sqdist
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Kernel bandwidth and neighbor count; ``knn`` may be an int or "full"."""
-
-    r: float = 0.0
-    knn: int | str = 5
 
 
 @dataclass
@@ -103,37 +95,20 @@ def _knn_pairs(A: np.ndarray, k: int) -> np.ndarray:
     return np.column_stack([key // m, key % m])
 
 
-def knn_sparsify(A, gamma: np.ndarray, knn: int | str) -> EdgeSet:
-    """Keep the edge (i, j) iff one endpoint is among the other's knn nearest.
-
-    The union rule (rather than intersection) keeps the graph connected more
-    often at small k.  Equidistant neighbors are broken by ascending index.
-    ``knn="full"`` keeps every pair.
-    """
-    A = check_data(A)
-    m = A.shape[0]
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (m * (m - 1) // 2,):
-        raise ValueError("gamma must be a condensed vector over all pairs")
-    if knn == "full":
-        return EdgeSet(m=m, pairs=all_pairs(m), weights=gamma)
-    pairs = _knn_pairs(A, int(knn))
-    i, j = pairs[:, 0], pairs[:, 1]
-    return EdgeSet(m=m, pairs=pairs, weights=gamma[i * (2 * m - i - 1) // 2 + (j - i - 1)])
-
-
 def gaussian_edges(A, r: float, knn: int | str = 5) -> EdgeSet:
     """Gaussian weights exp(-r * ||A_i - A_j||^2) on the k-NN graph.
 
-    For an integer ``knn`` the graph is built from a k-d tree in O(m k log m)
-    and weights are evaluated on its edges only; they equal the matching
-    entries of :func:`gaussian_weights` bit for bit.  ``knn="full"`` keeps
-    all C(m,2) pairs and costs O(m^2).
+    Keeps the edge (i, j) iff one endpoint is among the other's ``knn``
+    nearest; the union rule (rather than intersection) keeps the graph
+    connected more often at small k.  For an integer ``knn`` the graph is
+    built from a k-d tree in O(m k log m) and weights are evaluated on its
+    edges only; they equal the matching entries of :func:`gaussian_weights`
+    bit for bit.  ``knn="full"`` keeps all C(m,2) pairs and costs O(m^2).
     """
-    if knn == "full":
-        return knn_sparsify(A, gaussian_weights(A, r), knn)
     A = check_data(A)
     if r < 0:
         raise ValueError(f"kernel bandwidth r must be >= 0, got {r}")
+    if knn == "full":
+        return EdgeSet(m=A.shape[0], pairs=all_pairs(A.shape[0]), weights=gaussian_weights(A, r))
     pairs = _knn_pairs(A, int(knn))
     return EdgeSet(m=A.shape[0], pairs=pairs, weights=np.exp(-r * pair_sqdist(A, pairs)))

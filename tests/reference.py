@@ -72,7 +72,7 @@ def tau_gamma_dense(A, labels, r: float) -> dict:
     A = np.asarray(A, dtype=float)
     perm = contiguous_order(labels)
     sets = index_sets(np.asarray(labels)[perm])
-    B = np.asarray(difference_operator(A.shape[0]) @ center_columns(A[perm]).centered)
+    B = np.asarray(difference_operator(A.shape[0]) @ center_columns(A[perm]))
     gamma = np.exp(-r * np.sum(B ** 2, axis=1))
     within, between = sets.within_rows(), sets.between_rows()
     sizes = sets.sizes

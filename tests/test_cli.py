@@ -109,6 +109,39 @@ def test_timing_is_a_cluster_and_bench_flag_only(ball_csv, tmp_path, capsys):
     assert "unknown config keys: ['timing']" in err
 
 
+def test_seed_is_a_cluster_and_bench_flag_only(ball_csv, tmp_path, capsys):
+    for command in ("cluster", "bench"):
+        assert cli.build_parser().parse_args([command, str(ball_csv), "--seed", "4"]).seed == 4
+    # the path solve draws no random numbers, so it rejects the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["path", str(ball_csv), "--seed", "4"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "path.cfg"
+    cfg.write_text("seed=4\n")
+    code, _, err = run_cli(["path", str(ball_csv), "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "unknown config keys: ['seed']" in err
+
+
+def test_cluster_auto_params_rejects_zero_candidates(ball_csv, capsys):
+    code, stdout, err = run_cli(
+        ["cluster", str(ball_csv), "--label-column", "label", "--auto-params",
+         "--auto-candidates", "0"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines()[-1] == "error: candidate count must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("flag", ["--repeats", "--inits", "--k"])
+def test_bench_rejects_counts_below_one(ball_csv, capsys, flag):
+    code, stdout, err = run_cli(
+        ["bench", str(ball_csv), "--methods", "lloyd", "--repeats", "2", "--inits", "1",
+         flag, "0"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines()[-1] == f"error: {flag} must be >= 1, got 0"
+
+
 def test_cluster_report_deterministic(ball_csv, capsys):
     args = ["cluster", str(ball_csv), "--label-column", "label", "--c", "2.5",
             "--r", "0.8", "--knn", "full"]

@@ -6,7 +6,6 @@ from convexcluster.extraction import (
     extract_clusters,
     find_c_for_k,
     regularization_path,
-    select_c_for_k,
 )
 from convexcluster.solver import HALF, SolverConfig, admm_solve, objective
 from convexcluster.weights import EdgeSet, gaussian_edges
@@ -58,15 +57,16 @@ FOUR = np.array([[0.0], [0.1], [10.0], [10.1]])
 def test_path_endpoints_and_monotone_counts():
     edges = gaussian_edges(FOUR, 0.01, "full")
     cfg = SolverConfig(c=0.0, tol=1e-9, max_iter=200000)
-    path = regularization_path(FOUR, edges, [0.0, 0.05, 0.3, 2.0, 500.0], cfg)
+    grid = [0.0, 0.05, 0.3, 2.0, 500.0]
+    path = regularization_path(FOUR, edges, grid, cfg)
     counts = path.cluster_counts
     assert counts[0] == 4  # c = 0: every distinct row its own cluster
     assert 2 in counts     # well-separated pairs fuse before the full merge
     assert counts[-1] == 1
     assert np.all(np.diff(counts) <= 0)
-    assert select_c_for_k(path, 2) == 0.3
-    assert select_c_for_k(path, 4) == 0.0
-    assert select_c_for_k(path, 3) is None
+    assert find_c_for_k(FOUR, edges, 2, cfg, grid).c == 0.3
+    assert find_c_for_k(FOUR, edges, 4, cfg, grid).c == 0.0
+    assert find_c_for_k(FOUR, edges, 3, cfg, grid) is None  # both pairs fuse at once
 
 
 def test_full_fusion_threshold_on_two_point_instance():

@@ -13,11 +13,12 @@ from scipy.spatial.distance import pdist, squareform
 
 from convexcluster import solver
 from convexcluster.baselines import hierarchical
+from convexcluster.core import all_pairs
 from convexcluster.datagen import BallModelSpec, embedded_circles, stochastic_ball
 from convexcluster.extraction import canonical_labels, extract_clusters
 from convexcluster.solver import SolverConfig, SolverState, admm_solve, soft_threshold
 from convexcluster.theory import c_interval_k, c_interval_two
-from convexcluster.weights import gaussian_edges, gaussian_weights, knn_sparsify
+from convexcluster.weights import gaussian_edges
 from reference import (admm_unscaled, general_factor, hierarchical_loop, knn_edges_dense,
                        kappa_lower_loop, soft_threshold_sign, tau_gamma_dense,
                        threshold_components_dense)
@@ -35,15 +36,14 @@ def _tie_heavy_inputs():
 @pytest.mark.parametrize("name", ["grid2", "grid9", "dup10"])
 def test_knn_matches_stable_argsort_reference(name):
     A = _tie_heavy_inputs()[name]
-    gamma = gaussian_weights(A, 0.3)
     for k in (1, 2, 4, 9, 16):
         pairs, weights = knn_edges_dense(A, 0.3, k)
         edges = gaussian_edges(A, 0.3, k)
         assert np.array_equal(edges.pairs, pairs)
         assert np.array_equal(edges.weights, weights)  # bitwise, also at n >= 8
-        sparse = knn_sparsify(A, gamma, k)
-        assert np.array_equal(sparse.pairs, pairs)
-        assert np.array_equal(sparse.weights, weights)
+    full = gaussian_edges(A, 0.3, "full")
+    assert np.array_equal(full.pairs, all_pairs(A.shape[0]))
+    assert np.array_equal(full.weights, np.exp(-0.3 * pdist(A, "sqeuclidean")))
 
 
 @pytest.mark.parametrize("linkage", ["single", "average"])

@@ -302,3 +302,5 @@ def test_candidate_c_values_inside_interval():
     assert np.all(vals < rep.kappa_upper)
     with pytest.raises(ValueError):
         candidate_c_values(c_interval_two(FOUR, FOUR_LABELS, r=0.0))
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        candidate_c_values(rep, count=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convexcluster.core import pair_pos
-from convexcluster.weights import EdgeSet, gaussian_edges, gaussian_weights, knn_sparsify
+from convexcluster.weights import EdgeSet, gaussian_edges, gaussian_weights
 
 
 FOUR_POINTS = np.array([[0.0], [0.0], [3.0], [3.0]])
@@ -46,16 +46,15 @@ def test_gaussian_weights_rejects_negative_r():
 
 def test_knn_examples():
     A = np.array([[0.0], [1.0], [10.0]])
-    g = gaussian_weights(A, 0.0)
-    edges = knn_sparsify(A, g, 1)
+    edges = gaussian_edges(A, 0.0, 1)
     assert edges.pairs.tolist() == [[0, 1], [1, 2]]
 
-    full = knn_sparsify(A, g, 2)
+    full = gaussian_edges(A, 0.0, 2)
     assert full.n_edges == 3
-    assert knn_sparsify(A, g, "full").n_edges == 3
+    assert gaussian_edges(A, 0.0, "full").n_edges == 3
 
     dup = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
-    e = knn_sparsify(dup, gaussian_weights(dup, 2.0), 1)
+    e = gaussian_edges(dup, 2.0, 1)
     assert [0, 1] in e.pairs.tolist()
     w01 = e.weights[e.pairs.tolist().index([0, 1])]
     assert w01 == 1.0
@@ -64,13 +63,12 @@ def test_knn_examples():
 def test_knn_nested_in_k():
     gen = np.random.default_rng(11)
     A = gen.normal(size=(12, 3))
-    g = gaussian_weights(A, 0.4)
     prev: set = set()
     for k in range(1, 12):
-        cur = {tuple(p) for p in knn_sparsify(A, g, k).pairs.tolist()}
+        cur = {tuple(p) for p in gaussian_edges(A, 0.4, k).pairs.tolist()}
         assert prev <= cur
         prev = cur
-    assert prev == {tuple(p) for p in knn_sparsify(A, g, "full").pairs.tolist()}
+    assert prev == {tuple(p) for p in gaussian_edges(A, 0.4, "full").pairs.tolist()}
 
 
 def test_knn_tie_breaks_to_lower_index():
@@ -87,11 +85,10 @@ def test_knn_edges_reject_negative_r():
 
 def test_knn_range_errors():
     A = np.array([[0.0], [1.0], [2.0]])
-    g = gaussian_weights(A, 0.0)
     with pytest.raises(ValueError):
-        knn_sparsify(A, g, 0)
+        gaussian_edges(A, 0.0, 0)
     with pytest.raises(ValueError):
-        knn_sparsify(A, g, 3)
+        gaussian_edges(A, 0.0, 3)
 
 
 def test_edge_set_normalizes_and_validates():
