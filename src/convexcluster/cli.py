@@ -112,6 +112,15 @@ def _per_cluster(values: list[float], K: int, message: str) -> list[float]:
     return values
 
 
+def _sigmas(values: list[float], K: int, message: str) -> list[float]:
+    """``_per_cluster`` for spherical sigmas, each of which must be > 0."""
+    values = _per_cluster(values, K, message)
+    for sigma in values:
+        if not sigma > 0:
+            raise CliError(f"sigma must be > 0, got {sigma}")
+    return values
+
+
 def _parse_knn(text: str):
     if text == "full":
         return "full"
@@ -180,8 +189,8 @@ def cmd_generate(args) -> int:
             raise CliError("generate gmm requires --means (or --paper)")
         means = np.array(args.means)
         K = means.shape[0]
-        sigmas = _per_cluster(args.sigmas or [args.sigma], K,
-                              "need one sigma per component (or a single shared value)")
+        sigmas = _sigmas(args.sigmas or [args.sigma], K,
+                         "need one sigma per component (or a single shared value)")
         weights = args.weights or [1.0 / K] * K
         covs = [s ** 2 * np.eye(means.shape[1]) for s in sigmas]
         spec_obj = datagen.GmmSpec(weights=np.array(weights), means=means,
@@ -252,7 +261,7 @@ def cmd_cluster(args) -> int:
         "n_clusters": assign.k,
         "objective": objective(A, state.X, edges, c, args.convention),
         "solver": {"iters": state.iters, "converged": state.converged,
-                   "final_change": state.final_change},
+                   "final_change": state.final_change, "screened_edges": state.screened},
     }
     if truth is not None:
         report["result"]["rand_index"] = rand_index(assign.labels, truth)
@@ -414,8 +423,8 @@ def cmd_feasibility(args) -> int:
     if args.gmm_sigmas:
         ranks = first_occurrence_ranks(truth)
         means = np.stack([A[ranks == k].mean(axis=0) for k in range(ranks.max() + 1)])
-        sigmas = _per_cluster(args.gmm_sigmas, len(means),
-                              "need one --gmm-sigmas entry per cluster (or one shared)")
+        sigmas = _sigmas(args.gmm_sigmas, len(means),
+                         "need one --gmm-sigmas entry per cluster (or one shared)")
         covs = [s ** 2 * np.eye(A.shape[1]) for s in sigmas]
         gmm = theory.gmm_separation_bound(means, covs, A.shape[0])
         report["gmm_bound"] = {

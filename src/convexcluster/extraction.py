@@ -173,6 +173,17 @@ def _solve_point(A, edges: EdgeSet, cfg: SolverConfig, c: float, merge_tol: floa
                      converged=state.converged, final_change=state.final_change), state
 
 
+def _check_grid(c_grid) -> np.ndarray:
+    c_grid = np.asarray(c_grid, dtype=float)
+    if c_grid.ndim != 1 or c_grid.size == 0:
+        raise ValueError("c grid must be a non-empty 1-d sequence")
+    if np.any(c_grid < 0):
+        raise ValueError("c grid values must be >= 0")
+    if c_grid.size > 1 and np.any(np.diff(c_grid) <= 0):
+        raise ValueError("c grid must be strictly ascending")
+    return c_grid
+
+
 def regularization_path(A, edges: EdgeSet, c_grid, cfg: SolverConfig,
                         merge_tol: float | None = None,
                         warm_start: bool = True) -> PathResult:
@@ -185,19 +196,12 @@ def regularization_path(A, edges: EdgeSet, c_grid, cfg: SolverConfig,
     a solve stopped at tolerance t leaves fused rows about t apart, so the
     extraction threshold must sit above it.
     """
-    c_grid = np.asarray(c_grid, dtype=float)
-    if c_grid.ndim != 1 or c_grid.size == 0:
-        raise ValueError("c grid must be a non-empty 1-d sequence")
-    if np.any(c_grid < 0):
-        raise ValueError("c grid values must be >= 0")
-    if c_grid.size > 1 and np.any(np.diff(c_grid) <= 0):
-        raise ValueError("c grid must be strictly ascending")
     if merge_tol is None:
         merge_tol = 10.0 * cfg.tol
 
     points = []
     state: SolverState | None = None
-    for c in c_grid:
+    for c in _check_grid(c_grid):
         point, state = _solve_point(A, edges, cfg, float(c), merge_tol,
                                     init=state if warm_start else None)
         points.append(point)
@@ -208,27 +212,30 @@ def find_c_for_k(A, edges: EdgeSet, k: int, cfg: SolverConfig, c_grid,
                  merge_tol: float | None = None) -> PathPoint | None:
     """Locate a grid (or bisected) c whose extracted partition has k clusters.
 
-    Runs the regularization path over ``c_grid`` first and returns the
-    smallest grid c with exactly k clusters.  When the grid steps over k
-    (counts drop from above k to below between neighbors), refines by
-    geometric bisection.  All solves are cold-started: warm starts can stop
-    early mid-merge and corrupt the bracket.  Returns None when no such c is
-    found, e.g. when two fusion events coincide.
+    Solves the grid points of ``c_grid`` in order and returns the first with
+    exactly k clusters.  When no grid point has k clusters, the whole grid
+    is solved, and where the counts step over k (from above k to below
+    between neighbors) c is refined by geometric bisection.  All solves are
+    cold-started: warm starts can stop early mid-merge and corrupt the
+    bracket.  Returns None when no such c is found, e.g. when two fusion
+    events coincide.
     """
     if merge_tol is None:
         merge_tol = 10.0 * cfg.tol
-    path = regularization_path(A, edges, c_grid, cfg, merge_tol, warm_start=False)
-    for point in path.points:
+    c_grid = _check_grid(c_grid)
+    counts = np.empty(c_grid.size, dtype=int)
+    for i, c in enumerate(c_grid):
+        point, _ = _solve_point(A, edges, cfg, float(c), merge_tol)
         if point.n_clusters == k:
             return point
+        counts[i] = point.n_clusters
 
-    counts = path.cluster_counts
     above = np.nonzero(counts > k)[0]
     below = np.nonzero(counts < k)[0]
     if above.size == 0 or below.size == 0 or below.min() < above.max():
         return None
-    lo = float(path.points[above.max()].c)
-    hi = float(path.points[below.min()].c)
+    lo = float(c_grid[above.max()])
+    hi = float(c_grid[below.min()])
     if lo <= 0:
         lo = hi * 1e-9
     for _ in range(_MAX_BISECT):

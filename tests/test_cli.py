@@ -71,6 +71,16 @@ def test_cluster_c_zero_gives_singletons(ball_csv, capsys):
     assert report["config"]["seed"] == 0
 
 
+def test_cluster_reports_screened_edges(ball_csv, capsys):
+    args = ["cluster", str(ball_csv), "--label-column", "label", "--r", "1", "--knn", "full"]
+    screened = []
+    for c in ("0", "1"):
+        code, stdout, _ = run_cli([*args, "--c", c], capsys)
+        assert code == 0
+        screened.append(json.loads(stdout)["result"]["solver"]["screened_edges"])
+    assert screened == [0, 82]  # of 276 edges; c = 0 solves nothing
+
+
 def test_cluster_auto_params_exact(ball_csv, capsys):
     code, stdout, _ = run_cli(
         ["cluster", str(ball_csv), "--label-column", "label", "--auto-params",
@@ -140,6 +150,21 @@ def test_bench_rejects_counts_below_one(ball_csv, capsys, flag):
     assert code == 2
     assert stdout == ""
     assert err.splitlines()[-1] == f"error: {flag} must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("args", [
+    ["feasibility", "{data}", "--gmm-sigmas", "-1"],
+    ["generate", "gmm", "--means", "0,0", "4,0", "--sigma", "-1", "-o", "{out}"],
+    ["generate", "gmm", "--means", "0,0", "4,0", "--sigmas", "1,-1", "-o", "{out}"],
+    ["generate", "paper-gaussians", "--sigma", "-1", "-o", "{out}"],
+], ids=["gmm-sigmas", "sigma", "sigmas", "paper-gaussians"])
+def test_negative_sigma_exits_2(ball_csv, tmp_path, capsys, args):
+    out = tmp_path / "g.csv"
+    code, stdout, err = run_cli([a.format(data=ball_csv, out=out) for a in args], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines()[-1] == "error: sigma must be > 0, got -1.0"
+    assert not out.exists()
 
 
 def test_cluster_report_deterministic(ball_csv, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convexcluster import extraction
 from convexcluster.extraction import (
     canonical_labels,
     extract_clusters,
@@ -111,3 +112,24 @@ def test_find_c_for_k_bisects_between_grid_points():
     assert pt is not None
     assert pt.n_clusters == 2
     assert pt.assignment.labels.tolist() == [0, 0, 1, 1]
+
+
+def test_find_c_for_k_stops_at_the_first_grid_hit(monkeypatch):
+    edges = gaussian_edges(FOUR, 0.01, "full")
+    cfg = SolverConfig(c=0.0, tol=1e-9, max_iter=200000)
+    grid = [0.0, 0.05, 0.3, 2.0, 500.0]
+    solved = []
+
+    def counting_solve(A, edges, cfg, init=None):
+        solved.append(cfg.c)
+        return admm_solve(A, edges, cfg, init)
+
+    monkeypatch.setattr(extraction, "admm_solve", counting_solve)
+    assert find_c_for_k(FOUR, edges, 2, cfg, grid).c == 0.3
+    assert solved == [0.0, 0.05, 0.3]
+    del solved[:]
+    # no grid point has 3 clusters, so the whole grid is solved before the
+    # bracket is bisected
+    assert find_c_for_k(FOUR, edges, 3, cfg, grid) is None
+    assert solved[:len(grid)] == grid
+    assert all(0.05 < c < 0.3 for c in solved[len(grid):])

@@ -4,6 +4,7 @@ the scaled-dual ADMM loop and its factor of I + nu*L against the references in
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy.spatial.distance import pdist, squareform
 from convexcluster import solver
 from convexcluster.baselines import hierarchical
 from convexcluster.core import all_pairs
-from convexcluster.datagen import BallModelSpec, embedded_circles, stochastic_ball
+from convexcluster.datagen import BallModelSpec, embedded_circles, paper_gaussians, stochastic_ball
 from convexcluster.extraction import canonical_labels, extract_clusters
 from convexcluster.solver import SolverConfig, SolverState, admm_solve, soft_threshold
 from convexcluster.theory import c_interval_k, c_interval_two
@@ -297,6 +298,30 @@ def test_symmetric_factor_matches_general_factor(case, monkeypatch):
     for factor in (solver._factor, general_factor):
         lu = factor(edges, cfg.nu)[2]
         assert np.abs(M @ lu.solve(B) - B).max() <= 1e-13 * np.abs(B).max(), factor.__name__
+
+
+@pytest.mark.parametrize("case", ["small-full", "circles-knn", "ball", "circles-351.1"])
+def test_unit_nu_and_factor_inputs_screen_no_edge(case):
+    # the bit-identity and factor tests above cover the loop only while their
+    # inputs keep every edge; each c is the smallest that input is solved at
+    if case == "circles-knn":
+        (A, edges), cfg = _circles_knn(), SolverConfig(c=1e3)
+    else:
+        A, edges, cfg = _factor_case(case)
+    assert admm_solve(A, edges, replace(cfg, max_iter=1)).screened == 0
+
+
+def test_screened_paper_gaussian_matches_unscreened_reference_labels():
+    A, labels, r = paper_gaussians(1.0, seed=0)
+    feas = c_interval_k(A, labels, r)
+    c = float(np.sqrt(max(feas.kappa_lower, feas.kappa_upper * 1e-6) * feas.kappa_upper))
+    edges = gaussian_edges(A, r, "full")
+    got = admm_solve(A, edges, SolverConfig(c=c, tol=1e-6, max_iter=50000))
+    ref = admm_unscaled(A, edges, SolverConfig(c=c, tol=1e-10, max_iter=50000))
+    assert got.screened > 0
+    assert got.converged and ref.converged
+    assert np.array_equal(extract_clusters(got.X, 1e-4).labels,
+                          extract_clusters(ref.X, 1e-4).labels)
 
 
 def test_soft_threshold_matches_sign_form_on_special_values():

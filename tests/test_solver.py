@@ -231,3 +231,72 @@ def test_history_and_nonconvergence_flag():
     good = admm_solve(A, edges, SolverConfig(c=0.5, tol=1e-6, max_iter=100000))
     assert good.converged
     assert good.final_change <= 1e-6
+
+
+def _two_far_groups(r=1.0):
+    # two groups of three rows about 14 apart: at r = 1 the nine cross edges
+    # weigh 1e-119 to 1e-81, too little to move the minimizer in double
+    # precision; at r = 0.3 they weigh 1e-36 to 1e-24
+    gen = np.random.default_rng(31)
+    A = np.vstack([gen.normal(size=(3, 2)), 10.0 + gen.normal(size=(3, 2))])
+    edges = gaussian_edges(A, r, "full")
+    return A, edges, (edges.pairs[:, 0] < 3) != (edges.pairs[:, 1] < 3)
+
+
+def test_screened_solve_matches_reference_minimizer_on_the_full_edge_set():
+    A, edges, cross = _two_far_groups()
+    for c, conv in ((0.3, PAPER), (2.0, HALF)):
+        state = admm_solve(A, edges, tight(c, conv))
+        assert state.converged
+        assert state.screened == cross.sum() == 9
+        _, f_ref, gap = reference_minimizer(A, edges, c, conv)
+        assert gap <= 1e-9
+        f = objective(A, state.X, edges, c, conv)
+        assert abs(f - f_ref) / max(1.0, abs(f_ref)) <= 1e-6
+        assert kkt_residual(A, state.X, edges, c, conv, fuse_tol=1e-7) <= 1e-5
+        assert state.Z.shape == state.Lam.shape == (edges.n_edges, A.shape[1])
+        assert np.all(state.Lam[cross] == 0.0)
+        pairs = edges.pairs[cross]
+        assert np.array_equal(state.Z[cross], state.X[pairs[:, 0]] - state.X[pairs[:, 1]])
+
+
+def test_every_edge_screened_returns_the_data():
+    A, edges, _ = _two_far_groups()
+    light = EdgeSet(edges.m, edges.pairs, edges.weights * 1e-20)
+    state = admm_solve(A, light, tight(1.0))
+    assert state.screened == light.n_edges
+    assert state.iters == 1 and state.converged
+    assert np.array_equal(state.X, A)
+    assert np.all(state.Lam == 0.0)
+
+
+def test_warm_path_matches_cold_while_the_kept_set_grows(monkeypatch):
+    A, edges, _ = _two_far_groups(r=0.3)
+    screened = []
+
+    def recording_solve(A, edges, cfg, init=None):
+        state = admm_solve(A, edges, cfg, init)
+        screened.append(state.screened)
+        return state
+
+    monkeypatch.setattr(extraction, "admm_solve", recording_solve)
+    grid = [0.1, 1.0, 1e10, 1e12, 1e14, 1e16, 1e20, 1e24, 1e26]
+    cfg = SolverConfig(c=0.0, tol=1e-9, max_iter=200000)
+    warm = extraction.regularization_path(A, edges, grid, cfg)
+    assert screened == [9, 9, 8, 7, 5, 3, 2, 0, 0]
+    assert [p.n_clusters for p in warm.points] == [6, 6, 2, 2, 2, 2, 2, 2, 1]
+    cold = extraction.regularization_path(A, edges, grid, cfg, warm_start=False)
+    assert screened[:len(grid)] == screened[len(grid):]
+    for w, c in zip(warm.points, cold.points):
+        assert np.array_equal(w.assignment.labels, c.assignment.labels), w.c
+
+
+def test_screened_solution_warm_starts_at_its_own_fixed_point():
+    # the returned Z and Lam rows line up with the input edges, so a restart
+    # from them hands the loop back its own kept rows
+    A, edges, _ = _two_far_groups()
+    first = admm_solve(A, edges, tight(0.3))
+    again = admm_solve(A, edges, tight(0.3), init=first)
+    assert first.screened == again.screened == 9
+    assert again.iters == 1
+    assert np.abs(again.X - first.X).max() <= 1e-10
