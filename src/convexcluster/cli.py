@@ -214,6 +214,14 @@ def _solver_config(args, c: float) -> SolverConfig:
                         convention=args.convention)
 
 
+def _strict_exit(args, converged: bool) -> int:
+    """Exit code 3 under ``--strict`` when a reported solve hit max_iter, else 0."""
+    if args.strict and not converged:
+        print("solver did not converge within max_iter", file=sys.stderr)
+        return 3
+    return 0
+
+
 def _merge_tol(args) -> float:
     """Extraction threshold: ``--merge-tol``, else 10 * ``--tol``."""
     return args.merge_tol if args.merge_tol is not None else 10.0 * args.tol
@@ -261,7 +269,8 @@ def cmd_cluster(args) -> int:
         "n_clusters": assign.k,
         "objective": objective(A, state.X, edges, c, args.convention),
         "solver": {"iters": state.iters, "converged": state.converged,
-                   "final_change": state.final_change, "screened_edges": state.screened},
+                   "final_change": state.final_change, "screened_edges": state.screened,
+                   "contracted_rows": state.contracted},
     }
     if truth is not None:
         report["result"]["rand_index"] = rand_index(assign.labels, truth)
@@ -271,10 +280,7 @@ def cmd_cluster(args) -> int:
         with _writing(args.labels_out):
             datagen.save_csv(args.labels_out, A, labels=assign.labels)
     _write(_json(report), args.output)
-    if args.strict and not state.converged:
-        print("solver did not converge within max_iter", file=sys.stderr)
-        return 3
-    return 0
+    return _strict_exit(args, state.converged)
 
 
 # ---------------------------------------------------------------- path
@@ -302,7 +308,7 @@ def cmd_path(args) -> int:
         lines.append(f"{pt.c!r},{pt.n_clusters},{rand},{pt.iters},{pt.converged}")
     _write("\n".join(lines) + "\n", args.output)
     _finish(None, args, t0)
-    return 0
+    return _strict_exit(args, all(pt.converged for pt in path.points))
 
 
 # ---------------------------------------------------------------- bench
@@ -345,15 +351,16 @@ def cmd_bench(args) -> int:
         if args.c is not None:
             state = admm_solve(A, edges, _solver_config(args, args.c))
             assign = extract_clusters(state.X, merge_tol)
-            c_used = args.c
+            c_used, iters, converged = args.c, state.iters, state.converged
         else:
             pt = find_c_for_k(A, edges, k, _solver_config(args, 0.0), _c_grid(args),
                               merge_tol=merge_tol)
             if pt is None:
                 raise CliError(f"no c on the grid yields {k} clusters; widen --c-min/--c-max")
-            assign, c_used = pt.assignment, pt.c
+            assign, c_used, iters, converged = pt.assignment, pt.c, pt.iters, pt.converged
         results["convex"] = {"mean": rand_index(assign.labels, truth), "sd": 0.0,
-                             "runs": 1, "c": c_used, "n_clusters": assign.k}
+                             "runs": 1, "c": c_used, "n_clusters": assign.k,
+                             "iters": iters, "converged": converged}
 
     for method, name in (("hc-single", "single"), ("hc-average", "average")):
         if method in methods:
@@ -391,7 +398,7 @@ def cmd_bench(args) -> int:
         _write("\n".join(lines) + "\n", args.output)
     else:
         _write(_json(report), args.output)
-    return 0
+    return _strict_exit(args, results.get("convex", {}).get("converged", True))
 
 
 # ---------------------------------------------------------------- feasibility
@@ -450,6 +457,8 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="cluster extraction threshold (default 10*tol)")
     p.add_argument("--convention", choices=[PAPER, "half"], default=PAPER,
                    help="objective convention for c")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 3 when a reported solve hits --max-iter")
     p.add_argument("--config", default=None, help="flat key=value config file; flags override")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
 
@@ -491,8 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pick only r from the feasibility search; c stays as given")
     c.add_argument("--auto-candidates", type=int, default=5)
     c.add_argument("--labels-out", default=None, help="write a labeled copy of the data")
-    c.add_argument("--strict", action="store_true",
-                   help="exit 3 when the solver does not converge")
     c.add_argument("--timing", action="store_true", help="include wall time in the report")
     c.add_argument("--seed", type=int, default=0)
     _add_solver_flags(c)

@@ -37,6 +37,33 @@ machine epsilon: a shift that rounding of A already hides.  The loop then runs
 on the kept edges.  The returned state still covers every input edge: a
 screened row has Z = X_i - X_j and Lam = 0, and ``SolverState.screened``
 counts those rows.  When every edge is screened the answer is X = A.
+
+The kept edges then pass an a-priori contraction rule.  Let R be the largest
+column range of A.  Every coordinate of the minimizer lies in its column's
+range of A (clipping X into those ranges lowers the fidelity term and does
+not raise the penalty), so |X_i - A_i| <= R per coordinate.  Summing the
+stationarity equations over a group g of s_g rows known to be equal cancels
+its internal edges and leaves
+
+    sum_{i in g} (X_i - A_i) + c_half * sum_{l leaving g} w_l * (+-G_l) = 0,
+
+with G_l in [-1, 1]^n the l1 subgradient of edge l.  If an edge l leaving g
+has c_half * w_l > s_g * R + c_half * (W_g - w_l), with W_g the total weight
+of the edges leaving g, then no coordinate of G_l can be +-1, so the edge's
+two rows are equal at the minimizer.  Such edges are contracted (with a
+relative margin of a few machine epsilons per summed weight, so rounding
+never decides the test), and the rule repeats on the contracted graph until
+no edge passes it.  Each super-node g keeps the sum of its rows of A as
+S * mean(A_g), with fidelity weight s_g, and parallel edges merge by summing
+their weights.  The loop solves this reduced problem with S + nu*L, and its
+stop measures the change of the lifted X, ||sqrt(s) * dX_g||_F.  The lifted
+state covers every input row and edge: X copies each super-node's row to
+its members, a merged edge's Z is copied to its parallel edges (with their
+orientation) and its Lam is split among them by w_l / W_e, and a contracted
+edge has Z = 0 and Lam = 0.  ``SolverState.contracted`` counts the input
+rows folded into another row, m minus the number of super-nodes.  Where
+nothing contracts, the loop runs on the kept edges with s = 1, exactly as
+without the rule.
 """
 
 from __future__ import annotations
@@ -45,6 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .core import _incidence, check_data
@@ -55,6 +83,9 @@ HALF = "half"
 _CONVENTIONS = (PAPER, HALF)
 # Screening bound on the minimizer's shift, relative to ||A||_F.
 _SCREEN_EPS = float(np.finfo(float).eps)
+# Relative margin of the contraction rule, per kept edge: a sum of E weights
+# carries a relative rounding error below E * eps.
+_CONTRACT_EPS = 4.0 * float(np.finfo(float).eps)
 
 
 def _fidelity_factor(convention: str) -> float:
@@ -96,6 +127,8 @@ class SolverState:
 
     ``screened`` counts the edges dropped before the solve (see the module
     docstring); their rows of Z are the differences of X and of Lam zero.
+    ``contracted`` counts the rows the contraction rule folded into another
+    row: m minus the number of super-nodes the loop ran on.
     """
 
     X: np.ndarray
@@ -106,6 +139,7 @@ class SolverState:
     converged: bool
     history: np.ndarray = field(default_factory=lambda: np.empty(0))
     screened: int = 0
+    contracted: int = 0
 
 
 def soft_threshold(v, t):
@@ -141,13 +175,15 @@ def objective(A, X, edges: EdgeSet, c: float, convention: str = PAPER) -> float:
     return fid + c * float(edges.weights @ np.abs(_differences(X, edges)).sum(axis=1))
 
 
-def _factor(edges: EdgeSet, nu: float):
-    """E, E^T as CSR, and the symmetric-mode LU factor of I + nu * E^T E
-    (minimum-degree ordering, diagonal pivots; see the module docstring)."""
+def _factor(edges: EdgeSet, nu: float, fidelity: np.ndarray | None = None):
+    """E, E^T as CSR, and the symmetric-mode LU factor of S + nu * E^T E
+    (minimum-degree ordering, diagonal pivots; see the module docstring).
+    S is the diagonal of ``fidelity``, the identity when it is None."""
     Einc = incidence(edges)
     EincT = Einc.T.tocsr()
     lap = (EincT @ Einc).tocsc()
-    lu = splu((sp.identity(edges.m, format="csc") + nu * lap).tocsc(),
+    S = sp.identity(edges.m, format="csc") if fidelity is None else sp.diags(fidelity, format="csc")
+    lu = splu((S + nu * lap).tocsc(),
               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     return Einc, EincT, lu
@@ -163,6 +199,84 @@ def _screen(A, edges: EdgeSet, c_half: float) -> np.ndarray:
     keep = np.ones(edges.n_edges, dtype=bool)
     keep[order[:dropped]] = False
     return keep
+
+
+def _merge(pairs: np.ndarray, weights: np.ndarray, label: np.ndarray, G: int):
+    """Edges between the G groups of ``label``: (merged pairs in lexicographic
+    order, their summed weights, mask of the input edges that leave a group,
+    each such edge's merged row, and whether it keeps its orientation)."""
+    gi, gj = label[pairs[:, 0]], label[pairs[:, 1]]
+    leaves = gi != gj
+    gi, gj = gi[leaves], gj[leaves]
+    key, row = np.unique(np.minimum(gi, gj) * G + np.maximum(gi, gj), return_inverse=True)
+    merged = np.bincount(row, weights[leaves], key.size)
+    return np.column_stack([key // G, key % G]), merged, leaves, row, gi < gj
+
+
+@dataclass
+class _Reduction:
+    """Super-nodes found by :func:`_contract`.
+
+    Input row i belongs to super-node ``label[i]`` of ``size`` rows;
+    ``edges`` are the merged edges between super-nodes.  ``members`` (G x m)
+    sums the rows of each super-node.  ``copy`` (merged x input edges) holds
+    +-1 where an input edge is a parallel copy of a merged edge, with the sign
+    of its orientation, and ``share`` the same entries times w_l / W_e; a
+    contracted edge has no entry in either.
+    """
+
+    label: np.ndarray
+    size: np.ndarray
+    edges: EdgeSet
+    members: sp.csr_matrix
+    copy: sp.csr_matrix
+    share: sp.csr_matrix
+
+    def restrict(self, X, Z, U):
+        """A warm start on the input rows and edges, mapped onto the super-nodes:
+        group means of X, weighted means of Z and sums of U over parallel edges."""
+        return (self.members @ X) / self.size[:, None], self.share @ Z, self.copy @ U
+
+    def lift(self, X, Z, Lam):
+        """A reduced state on every input row and edge (see the module docstring)."""
+        return X[self.label], self.copy.T @ Z, self.share.T @ Lam
+
+
+def _contract(A, edges: EdgeSet, c_half: float) -> _Reduction | None:
+    """Super-nodes of the rows the contraction rule proves equal at the
+    minimizer (see the module docstring), or None when no edge passes it."""
+    m = edges.m
+    span = float(np.ptp(A, axis=0).max())
+    slack = 1.0 + _CONTRACT_EPS * edges.n_edges
+    label, size = np.arange(m), np.ones(m)
+    pairs, weights = edges.pairs, edges.weights
+    while pairs.shape[0]:
+        G = size.size
+        load = np.bincount(pairs[:, 0], weights, G) + np.bincount(pairs[:, 1], weights, G)
+        # c_half * w > s * R + c_half * (W - w), with W - w not formed, as
+        # it cancels where w carries nearly all of W
+        bound = (size * span + c_half * load) * slack
+        pull = 2.0 * c_half * weights
+        fire = (pull > bound[pairs[:, 0]]) | (pull > bound[pairs[:, 1]])
+        if not fire.any():
+            break
+        G, comp = connected_components(
+            sp.csr_matrix((np.ones(int(fire.sum())), (pairs[fire, 0], pairs[fire, 1])),
+                          shape=(G, G)), directed=False)
+        label, size = comp[label], np.bincount(comp, size, G)
+        pairs, weights = _merge(pairs, weights, comp, G)[:2]
+    if size.size == m:
+        return None
+    G = size.size
+    pairs, weights, leaves, row, forward = _merge(edges.pairs, edges.weights, label, G)
+    cols = np.nonzero(leaves)[0]
+    sign = np.where(forward, 1.0, -1.0)
+    shape = (weights.size, edges.n_edges)
+    return _Reduction(
+        label=label, size=size, edges=EdgeSet(G, pairs, weights),
+        members=sp.csr_matrix((np.ones(m), (label, np.arange(m))), shape=(G, m)),
+        copy=sp.csr_matrix((sign, (row, cols)), shape=shape),
+        share=sp.csr_matrix((sign * edges.weights[cols] / weights[row], (row, cols)), shape=shape))
 
 
 def _differences(X, edges: EdgeSet) -> np.ndarray:
@@ -186,8 +300,9 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
     when the Frobenius change of the centroid matrix drops to ``cfg.tol``;
     hitting ``cfg.max_iter`` first is reported via ``converged=False``, not
     raised.  Edges too light to move the minimizer are screened out before
-    the factorization (see the module docstring); the returned Z and Lam
-    still have one row per input edge.
+    the factorization, and rows the optimality conditions force together are
+    contracted into weighted super-nodes (see the module docstring); the
+    returned X, Z and Lam still have one row per input row and edge.
 
     ``init`` warm-starts all three blocks (regularization paths); the default
     start is all zeros.  ``init.Lam`` and the returned ``Lam`` are unscaled:
@@ -210,10 +325,18 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
     full = edges
     if screened:
         edges = EdgeSet(m, edges.pairs[keep], edges.weights[keep])
-        E = edges.n_edges
+    red = _contract(A, edges, c_half)
+    if red is None:
+        contracted, fidelity, target = 0, None, A
+    else:
+        contracted, fidelity, target = m - red.size.size, red.size, red.members @ A
+        edges = red.edges
+    G, E = edges.m, edges.n_edges
+    # the stop measures the lifted change, ||sqrt(s) * dX||_F
+    root = 1.0 if fidelity is None else np.sqrt(fidelity)[:, None]
 
     nu = cfg.nu
-    Einc, EincT, lu = _factor(edges, nu)
+    Einc, EincT, lu = _factor(edges, nu, fidelity)
     # soft_threshold(W, t) = W - clip(W, -t, t), with t spread to E x n once
     hi = np.ascontiguousarray(np.broadcast_to((c_half / nu) * edges.weights[:, None], (E, n)))
     lo = -hi
@@ -226,8 +349,10 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
             raise ValueError("warm-start state shapes do not match problem")
         if screened:
             Z, U = Z[keep], U[keep]
+        if red is not None:
+            X, Z, U = red.restrict(X, Z, U)
     else:
-        X = np.zeros((m, n))
+        X = np.zeros((G, n))
         Z = np.zeros((E, n))
         U = np.zeros((E, n))
     # Z and U are fresh arrays owned by this call, so the loop updates them in
@@ -242,7 +367,7 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
         np.add(Z, U, out=W)
         R = EincT @ W
         R *= nu
-        R += A
+        R += target
         X_new = lu.solve(R)
         D = Einc @ X_new
         np.subtract(D, U, out=W)
@@ -250,7 +375,7 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
         np.subtract(W, Z, out=Z)
         np.subtract(Z, D, out=W)
         U += W
-        change = float(np.linalg.norm(X_new - X))
+        change = float(np.linalg.norm((X_new - X) * root))
         X = X_new
         history[it - 1] = change
         if change <= cfg.tol:
@@ -258,6 +383,8 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
             break
 
     Lam = nu * U
+    if red is not None:
+        X, Z, Lam = red.lift(X, Z, Lam)
     if screened:
         Z_kept, Lam_kept = Z, Lam
         Z = _differences(X, full)
@@ -265,7 +392,8 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
         Lam = np.zeros_like(Z)
         Lam[keep] = Lam_kept
     return SolverState(X=X, Z=Z, Lam=Lam, iters=it, final_change=change,
-                       converged=converged, history=history[:it].copy(), screened=screened)
+                       converged=converged, history=history[:it].copy(), screened=screened,
+                       contracted=contracted)
 
 
 def kkt_residual(A, X, edges: EdgeSet, c: float, convention: str = PAPER,

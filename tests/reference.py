@@ -10,8 +10,9 @@ one cluster at a time, as a loop reference for the package's array form, and
 linkage clustering updates one upper-triangle entry at a time.  The ADMM
 reference iterates the unscaled multiplier Lam with the sign-form
 soft-threshold, against the package's scaled-dual loop; it shares only the
-factor of I + nu*L with the package, so both loops run on the same factor.
-That factor in turn has a reference: SuperLU's general-matrix default.
+factor of S + nu*L and the super-node reduction with the package, so both
+loops run on the same factor of the same problem.  That factor in turn has a
+reference: SuperLU's general-matrix default.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from convexcluster.core import (center_columns, check_data, contiguous_order, difference_operator,
                                 index_sets)
-from convexcluster.solver import (PAPER, SolverConfig, SolverState, _factor, _fidelity_factor,
-                                  incidence)
+from convexcluster.solver import (PAPER, SolverConfig, SolverState, _contract, _factor,
+                                  _fidelity_factor, incidence)
 
 
 def knn_edges_dense(A, r: float, k: int):
@@ -143,13 +144,14 @@ def soft_threshold_sign(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def general_factor(edges, nu: float):
+def general_factor(edges, nu: float, fidelity=None):
     """``solver._factor`` as for a general matrix: SuperLU's default COLAMD
     ordering with partial pivoting."""
     Einc = incidence(edges)
     EincT = Einc.T.tocsr()
     lap = (EincT @ Einc).tocsc()
-    return Einc, EincT, splu((sp.identity(edges.m, format="csc") + nu * lap).tocsc())
+    S = sp.identity(edges.m, format="csc") if fidelity is None else sp.diags(fidelity, format="csc")
+    return Einc, EincT, splu((S + nu * lap).tocsc())
 
 
 def augmented_lagrangian(A, X, Z, Lam, edges, c: float, nu: float,
@@ -173,7 +175,11 @@ def augmented_lagrangian(A, X, Z, Lam, edges, c: float, nu: float,
 
 def admm_unscaled(A, edges, cfg: SolverConfig, init: SolverState | None = None) -> SolverState:
     """ADMM with the unscaled multiplier: Lam / nu in the split update and
-    Lam + nu (Z - D) in the dual step, every iteration."""
+    Lam + nu (Z - D) in the dual step, every iteration.
+
+    Screens no edge.  Where ``solver._contract`` finds super-nodes, it solves
+    the same reduced problem as the package (fidelity weights s, merged edges,
+    the lifted stop ||sqrt(s) * dX||_F) and lifts the result the same way."""
     A = check_data(A)
     m, n = A.shape
     if edges.m != m:
@@ -187,7 +193,12 @@ def admm_unscaled(A, edges, cfg: SolverConfig, init: SolverState | None = None) 
         return SolverState(X=X, Z=D, Lam=np.zeros((E, n)), iters=1,
                            final_change=0.0, converged=True, history=np.zeros(1))
 
-    Einc, EincT, lu = _factor(edges, cfg.nu)
+    red = _contract(A, edges, c_half)
+    fidelity, target, root = None, A, 1.0
+    if red is not None:
+        fidelity, target, root = red.size, red.members @ A, np.sqrt(red.size)[:, None]
+        edges = red.edges
+    Einc, EincT, lu = _factor(edges, cfg.nu, fidelity)
     thresh = (c_half / cfg.nu) * edges.weights[:, None]
 
     if init is not None:
@@ -196,27 +207,31 @@ def admm_unscaled(A, edges, cfg: SolverConfig, init: SolverState | None = None) 
         Lam = np.array(init.Lam, dtype=float, copy=True)
         if X.shape != (m, n) or Z.shape != (E, n) or Lam.shape != (E, n):
             raise ValueError("warm-start state shapes do not match problem")
+        if red is not None:
+            X, Z, Lam = red.restrict(X, Z, Lam)
     else:
-        X = np.zeros((m, n))
-        Z = np.zeros((E, n))
-        Lam = np.zeros((E, n))
+        X = np.zeros((edges.m, n))
+        Z = np.zeros((edges.n_edges, n))
+        Lam = np.zeros((edges.n_edges, n))
 
     history = np.empty(cfg.max_iter)
     converged = False
     change = np.inf
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        rhs = A + EincT @ (cfg.nu * Z + Lam)
+        rhs = target + EincT @ (cfg.nu * Z + Lam)
         X_new = lu.solve(rhs)
         D = Einc @ X_new
         Z = soft_threshold_sign(D - Lam / cfg.nu, thresh)
         Lam = Lam + cfg.nu * (Z - D)
-        change = float(np.linalg.norm(X_new - X))
+        change = float(np.linalg.norm((X_new - X) * root))
         X = X_new
         history[it - 1] = change
         if change <= cfg.tol:
             converged = True
             break
 
+    if red is not None:
+        X, Z, Lam = red.lift(X, Z, Lam)
     return SolverState(X=X, Z=Z, Lam=Lam, iters=it, final_change=change,
                        converged=converged, history=history[:it].copy())

@@ -81,6 +81,16 @@ def test_cluster_reports_screened_edges(ball_csv, capsys):
     assert screened == [0, 82]  # of 276 edges; c = 0 solves nothing
 
 
+def test_cluster_reports_contracted_rows(ball_csv, capsys):
+    args = ["cluster", str(ball_csv), "--label-column", "label", "--r", "3", "--knn", "full"]
+    contracted = []
+    for c in ("1", "100", "1e4"):
+        code, stdout, _ = run_cli([*args, "--c", c], capsys)
+        assert code == 0
+        contracted.append(json.loads(stdout)["result"]["solver"]["contracted_rows"])
+    assert contracted == [0, 2, 9]  # of 24 rows
+
+
 def test_cluster_auto_params_exact(ball_csv, capsys):
     code, stdout, _ = run_cli(
         ["cluster", str(ball_csv), "--label-column", "label", "--auto-params",
@@ -213,6 +223,36 @@ def test_bench_command_and_determinism(ball_csv, capsys):
     assert report["results"]["lloyd"]["runs"] == 4
     code, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+def test_bench_convex_row_reports_its_solve(ball_csv, capsys):
+    args = ["bench", str(ball_csv), "--methods", "convex", "--r", "0.8", "--knn", "full"]
+    code, stdout, _ = run_cli([*args, "--c", "5", "--tol", "1e-6"], capsys)
+    assert code == 0
+    convex = json.loads(stdout)["results"]["convex"]
+    assert convex["converged"] is True and convex["iters"] > 2
+    code, stdout, _ = run_cli([*args, "--c", "5", "--tol", "1e-12", "--max-iter", "2"], capsys)
+    assert code == 0  # without --strict an unconverged solve is only reported
+    convex = json.loads(stdout)["results"]["convex"]
+    assert convex["converged"] is False and convex["iters"] == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["path", "--c-grid", "0.001,15,1e10"],
+    ["bench", "--methods", "convex", "--c-min", "0.01", "--c-max", "1000", "--c-steps", "8"],
+    ["bench", "--methods", "convex", "--c", "5"],
+], ids=["path", "bench-grid", "bench-fixed-c"])
+@pytest.mark.parametrize("limits, expected", [
+    (["--tol", "1e-6"], 0),
+    (["--tol", "1e-12", "--max-iter", "50", "--merge-tol", "1e-2"], 3),
+], ids=["converged", "max-iter"])
+def test_path_and_bench_strict_exit_codes(ball_csv, capsys, command, limits, expected):
+    name, *rest = command
+    code, stdout, err = run_cli([name, str(ball_csv), "--label-column", "label", "--r", "0.8",
+                                 "--knn", "full", *rest, *limits, "--strict"], capsys)
+    assert code == expected
+    assert stdout  # the report is written either way
+    assert ("solver did not converge within max_iter" in err) == (expected == 3)
 
 
 def test_bench_csv_format(ball_csv, capsys):

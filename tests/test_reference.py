@@ -303,12 +303,16 @@ def test_symmetric_factor_matches_general_factor(case, monkeypatch):
 @pytest.mark.parametrize("case", ["small-full", "circles-knn", "ball", "circles-351.1"])
 def test_unit_nu_and_factor_inputs_screen_no_edge(case):
     # the bit-identity and factor tests above cover the loop only while their
-    # inputs keep every edge; each c is the smallest that input is solved at
+    # inputs keep every edge; each c is the smallest that input is solved at.
+    # circles-knn contracts one 3-row group, so its bit-identity case covers
+    # the reduced problem; the others run the loop on the input rows
     if case == "circles-knn":
         (A, edges), cfg = _circles_knn(), SolverConfig(c=1e3)
     else:
         A, edges, cfg = _factor_case(case)
-    assert admm_solve(A, edges, replace(cfg, max_iter=1)).screened == 0
+    state = admm_solve(A, edges, replace(cfg, max_iter=1))
+    assert state.screened == 0
+    assert state.contracted == (2 if case == "circles-knn" else 0)
 
 
 def test_screened_paper_gaussian_matches_unscreened_reference_labels():

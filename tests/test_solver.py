@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convexcluster import extraction
+from convexcluster.datagen import paper_gaussians
 from convexcluster.solver import (
     HALF,
     PAPER,
@@ -12,6 +13,7 @@ from convexcluster.solver import (
     objective,
     soft_threshold,
 )
+from convexcluster.theory import c_interval_k
 from convexcluster.weights import EdgeSet, gaussian_edges
 
 from oracle import reference_minimizer
@@ -300,3 +302,104 @@ def test_screened_solution_warm_starts_at_its_own_fixed_point():
     assert first.screened == again.screened == 9
     assert again.iters == 1
     assert np.abs(again.X - first.X).max() <= 1e-10
+
+
+def _cascade():
+    # rows a, b, c near the origin, d1 far out at x = 10 (R = 10), d2 and d3
+    # between.  With c_half = 1, round one contracts (a, b) only: at a,
+    # 20 > 10 + 0.5; (b, c) fails at b (25 <= 10 + 20) and at c
+    # (25 <= 10 + 1.5 + 16).  Round two contracts ({a, b}, c): 25 > 2 * 10 + 0.5.
+    # Then {a, b, c} meets d1 over two parallel edges of weights 0.5 and 1.5.
+    A = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.5], [10.0, 2.0], [3.0, 1.5], [4.0, 0.0]])
+    edges = EdgeSet(6, [[0, 1], [1, 2], [0, 3], [2, 3], [2, 4], [2, 5]],
+                    [20.0, 25.0, 0.5, 1.5, 8.0, 8.0])
+    return A, edges
+
+
+def test_contraction_cascade_matches_reference_minimizer():
+    A, edges = _cascade()
+    state = admm_solve(A, edges, tight(1.0, HALF))
+    assert state.converged
+    assert state.contracted == 2  # {a, b, c} is one super-node
+    assert np.array_equal(state.X[0], state.X[1]) and np.array_equal(state.X[1], state.X[2])
+    _, f_ref, gap = reference_minimizer(A, edges, 1.0, HALF)
+    assert gap <= 1e-9
+    f = objective(A, state.X, edges, 1.0, HALF)
+    assert abs(f - f_ref) / max(1.0, abs(f_ref)) <= 1e-6
+    assert kkt_residual(A, state.X, edges, 1.0, HALF, fuse_tol=1e-7) <= 1e-5
+    # contracted edges carry nothing; a merged edge's Lam is split by weight,
+    # so every lifted multiplier stays inside its box |Lam_l| <= c_half * w_l
+    inside = edges.pairs[:, 1] <= 2
+    assert np.all(state.Z[inside] == 0.0) and np.all(state.Lam[inside] == 0.0)
+    assert np.all(np.abs(state.Lam) <= edges.weights[:, None] * (1.0 + 1e-9))
+    to_d1 = edges.pairs[:, 1] == 3
+    assert np.allclose(np.abs(state.Lam[to_d1, 0]), edges.weights[to_d1])  # saturated
+    # the group stationarity the lift preserves: S (X - A) = E^T Lam summed per group
+    resid = state.X - A - incidence(edges).T @ state.Lam
+    assert np.abs(resid[:3].sum(axis=0)).max() <= 1e-8
+    assert np.abs(resid[3:]).max() <= 1e-8
+
+
+@pytest.mark.parametrize("c, contracted, X", [
+    # c_half * w = 1 outweighs the node's other edges (none) but not the range term
+    (1.0, 0, [[1.0], [9.0]]),
+    # c_half * w > R by one ulp: inside the rounding margin, so no contraction
+    (np.nextafter(10.0, np.inf), 0, [[5.0], [5.0]]),
+    (10.0 * (1.0 + 1e-9), 1, [[5.0], [5.0]]),
+], ids=["range-term", "one-ulp", "past-margin"])
+def test_two_rows_contract_only_past_the_range_and_the_margin(c, contracted, X):
+    # rows 0 and R = 10 joined by one edge of weight 1, at c_half = c
+    state = admm_solve(np.array([[0.0], [10.0]]), TWO_EDGE, tight(c, HALF))
+    assert state.contracted == contracted
+    assert np.allclose(state.X, X, atol=1e-9)
+
+
+def test_contracted_solution_warm_starts_at_its_own_fixed_point():
+    A, edges = _cascade()
+    first = admm_solve(A, edges, tight(1.0, HALF))
+    again = admm_solve(A, edges, tight(1.0, HALF), init=first)
+    assert first.contracted == again.contracted == 2
+    assert again.iters == 1
+    assert np.abs(again.X - first.X).max() <= 1e-10
+
+
+def test_warm_path_matches_cold_while_the_contracted_set_changes(monkeypatch):
+    A, edges = _cascade()
+    contracted = []
+
+    def recording_solve(A, edges, cfg, init=None):
+        state = admm_solve(A, edges, cfg, init)
+        contracted.append(state.contracted)
+        return state
+
+    monkeypatch.setattr(extraction, "admm_solve", recording_solve)
+    grid = [0.01, 0.8, 1.0, 1.5, 10.0]
+    cfg = SolverConfig(c=0.0, tol=1e-9, max_iter=200000, convention=HALF)
+    warm = extraction.regularization_path(A, edges, grid, cfg, merge_tol=1e-7)
+    assert contracted == [0, 1, 2, 4, 5]
+    assert [p.n_clusters for p in warm.points] == [6, 2, 2, 2, 1]
+    cold = extraction.regularization_path(A, edges, grid, cfg, merge_tol=1e-7, warm_start=False)
+    assert contracted[:len(grid)] == contracted[len(grid):]
+    for w, c in zip(warm.points, cold.points):
+        assert np.array_equal(w.assignment.labels, c.assignment.labels), w.c
+
+
+def test_contracted_paper_gaussian_matches_capped_reference_minimizer():
+    # at c09's c the objective's heavy terms are c * w ~ 1e43, beyond what the
+    # oracle can resolve.  Capping c * w at K gives a lower bound on the
+    # objective everywhere, equal to it wherever every capped edge is fused,
+    # so the oracle's capped optimum certifies the full one.
+    A, labels, r = paper_gaussians(1.0, seed=0)
+    feas = c_interval_k(A, labels, r)
+    c = float(np.sqrt(max(feas.kappa_lower, feas.kappa_upper * 1e-6) * feas.kappa_upper))
+    edges = gaussian_edges(A, r, "full")
+    state = admm_solve(A, edges, SolverConfig(c=c, tol=1e-6, max_iter=50000))
+    assert state.converged
+    assert state.contracted == A.shape[0] - 3  # three super-nodes, one per cluster
+    capped = EdgeSet(edges.m, edges.pairs, np.minimum(c * edges.weights, 1e3))
+    f = objective(A, state.X, edges, c)
+    assert f == objective(A, state.X, capped, 1.0)
+    _, f_ref, gap = reference_minimizer(A, capped, 1.0)
+    assert gap <= 1e-6 * f_ref
+    assert abs(f - f_ref) / max(1.0, abs(f_ref)) <= 1e-6
+    assert kkt_residual(A, state.X, edges, c, fuse_tol=1e-7) <= 1e-5
