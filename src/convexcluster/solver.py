@@ -205,7 +205,8 @@ def _merge(pairs: np.ndarray, weights: np.ndarray, label: np.ndarray, G: int):
     """Edges between the G groups of ``label``: (merged pairs in lexicographic
     order, their summed weights, mask of the input edges that leave a group,
     each such edge's merged row, and whether it keeps its orientation)."""
-    gi, gj = label[pairs[:, 0]], label[pairs[:, 1]]
+    # connected_components numbers groups as int32: widen before forming keys
+    gi, gj = label[pairs[:, 0]].astype(np.int64), label[pairs[:, 1]].astype(np.int64)
     leaves = gi != gj
     gi, gj = gi[leaves], gj[leaves]
     key, row = np.unique(np.minimum(gi, gj) * G + np.maximum(gi, gj), return_inverse=True)

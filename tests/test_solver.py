@@ -384,6 +384,18 @@ def test_warm_path_matches_cold_while_the_contracted_set_changes(monkeypatch):
         assert np.array_equal(w.assignment.labels, c.assignment.labels), w.c
 
 
+def test_contraction_keys_hold_past_int32_products():
+    # super-node pair keys lo * G + hi exceed 2**31 once G > 46341
+    m = 50000
+    A = np.linspace(0.0, 1.0, m)[:, None]
+    weights = np.full(m - 1, 1e-3)
+    weights[-1] = 10.0  # only the last link passes the rule
+    chain = EdgeSet(m, np.column_stack([np.arange(m - 1), np.arange(1, m)]), weights)
+    state = admm_solve(A, chain, SolverConfig(c=1.0, max_iter=1, convention=HALF))
+    assert state.contracted == 1
+    assert state.Z.shape == (m - 1, 1) and state.Z[-1, 0] == 0.0
+
+
 def test_contracted_paper_gaussian_matches_capped_reference_minimizer():
     # at c09's c the objective's heavy terms are c * w ~ 1e43, beyond what the
     # oracle can resolve.  Capping c * w at K gives a lower bound on the
