@@ -4,13 +4,10 @@ from .core import (
     IndexSets,
     center_columns,
     check_data,
-    contiguous_order,
     difference_operator,
     index_sets,
     pair_from_row_index,
-    pair_pos,
     pair_row_index,
-    pos_pair,
 )
 from .weights import EdgeSet, gaussian_edges, gaussian_weights
 from .solver import (
@@ -21,7 +18,6 @@ from .solver import (
     admm_solve,
     kkt_residual,
     objective,
-    soft_threshold,
 )
 from .extraction import (
     Assignment,

@@ -233,8 +233,8 @@ def cmd_cluster(args) -> int:
     A, truth, source = _load_dataset(args, auto and f"{auto} needs labeled data (--label-column)")
     merge_tol = _merge_tol(args)
     config = {"nu": args.nu, "tol": args.tol, "max_iter": args.max_iter, "knn": args.knn,
-              "merge_tol": merge_tol, "convention": args.convention, "seed": args.seed,
-              "threads": _threads(), "r": args.r}
+              "merge_tol": merge_tol, "convention": args.convention, "threads": _threads(),
+              "r": args.r}
     report: dict = {"command": "cluster", "input": source, "config": config}
 
     # candidate c values, tried in order: the first that recovers the truth
@@ -501,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--auto-candidates", type=int, default=5)
     c.add_argument("--labels-out", default=None, help="write a labeled copy of the data")
     c.add_argument("--timing", action="store_true", help="include wall time in the report")
-    c.add_argument("--seed", type=int, default=0)
     _add_solver_flags(c)
     c.set_defaults(func=cmd_cluster)
 

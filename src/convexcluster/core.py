@@ -7,8 +7,7 @@ Data matrices are m x n numpy arrays; rows are observations.  Row indices are
 0-based everywhere inside the package.  The linearized pair index ``p`` follows
 the mathematical convention and is 1-based: pairs (i, j), i < j, are
 enumerated lexicographically, which is exactly the row order of the
-difference operator.  ``pair_pos`` / ``pos_pair`` are the 0-based equivalents
-used for array addressing.
+difference operator.
 """
 
 from __future__ import annotations
@@ -112,15 +111,15 @@ def pair_sqdist(A: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_pos(i: int, j: int, m: int) -> int:
+def _pair_pos(i: int, j: int, m: int) -> int:
     """0-based row position of pair (i, j) (0-based, i < j) in the operator."""
     if not (0 <= i < j < m):
         raise ValueError(f"need 0 <= i < j < m, got i={i}, j={j}, m={m}")
     return i * (2 * m - i - 1) // 2 + (j - i - 1)
 
 
-def pos_pair(p: int, m: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_pos`."""
+def _pos_pair(p: int, m: int) -> tuple[int, int]:
+    """Inverse of :func:`_pair_pos`."""
     total = m * (m - 1) // 2
     if not (0 <= p < total):
         raise ValueError(f"pair position {p} out of range for m={m}")
@@ -139,12 +138,12 @@ def pair_row_index(i: int, j: int, m: int) -> int:
     """1-based linear index of the 1-based pair (i, j), i < j <= m."""
     if not (1 <= i < j <= m):
         raise ValueError(f"need 1 <= i < j <= m, got i={i}, j={j}, m={m}")
-    return pair_pos(i - 1, j - 1, m) + 1
+    return _pair_pos(i - 1, j - 1, m) + 1
 
 
 def pair_from_row_index(p: int, m: int) -> tuple[int, int]:
     """Inverse of :func:`pair_row_index` (1-based on both sides)."""
-    i, j = pos_pair(p - 1, m)
+    i, j = _pos_pair(p - 1, m)
     return i + 1, j + 1
 
 
@@ -153,16 +152,6 @@ def first_occurrence_ranks(labels) -> np.ndarray:
     labels = _check_labels(labels)
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[inverse]
-
-
-def contiguous_order(labels) -> np.ndarray:
-    """Permutation putting each cluster into a contiguous block.
-
-    Clusters are ordered by first occurrence; the sort is stable, so row order
-    inside each cluster is preserved.  Apply as ``A[perm]`` and invert with
-    ``np.argsort(perm)``.
-    """
-    return np.argsort(first_occurrence_ranks(labels), kind="stable")
 
 
 @dataclass(frozen=True)
@@ -199,7 +188,8 @@ def index_sets(labels) -> IndexSets:
     """Build the within/between pair-index sets for contiguous cluster labels.
 
     Raises if any cluster occupies a non-contiguous index block; callers
-    permute rows first (see :func:`contiguous_order`).
+    permute rows first, e.g. by a stable argsort of
+    :func:`first_occurrence_ranks`.
     """
     labels = _check_labels(labels)
     m = labels.size

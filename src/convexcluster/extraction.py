@@ -189,10 +189,11 @@ def regularization_path(A, edges: EdgeSet, c_grid, cfg: SolverConfig,
                         warm_start: bool = True) -> PathResult:
     """Solve along an ascending c grid, warm-starting each point from the last.
 
-    All of X, Z, Lam are carried between grid points; the warm start targets
-    the same unique minimizer, but the iterate-change stopping rule can fire
-    early while clusters are still drifting together, so ``warm_start=False``
-    trades speed for robust counts.  ``merge_tol`` defaults to 10 * cfg.tol:
+    All of X, Z, Lam are carried between grid points.  A warm-started solve
+    stops only once the primal residual is also within ``cfg.tol`` (see
+    :func:`admm_solve`), so it does not stop on its start, but it stops at a
+    different iterate than a cold solve; ``warm_start=False`` gives the cold
+    solves.  ``merge_tol`` defaults to 10 * cfg.tol:
     a solve stopped at tolerance t leaves fused rows about t apart, so the
     extraction threshold must sit above it.
     """
@@ -216,8 +217,8 @@ def find_c_for_k(A, edges: EdgeSet, k: int, cfg: SolverConfig, c_grid,
     exactly k clusters.  When no grid point has k clusters, the whole grid
     is solved, and where the counts step over k (from above k to below
     between neighbors) c is refined by geometric bisection.  All solves are
-    cold-started: warm starts can stop early mid-merge and corrupt the
-    bracket.  Returns None when no such c is found, e.g. when two fusion
+    cold-started, so a probe's count does not depend on the points solved
+    before it.  Returns None when no such c is found, e.g. when two fusion
     events coincide.
     """
     if merge_tol is None:

@@ -26,24 +26,26 @@ at m = 3000 with k-NN 10 its factor has 235k nonzeros against 117k, and a
 solve with it takes about 1.7 times as long.  The iteration itself works on
 E x n arrays allocated once per solve.
 
-Before factoring, edges too light to move the minimizer are screened out, in
-the spirit of safe feature elimination (El Ghaoui, Viallon & Rabbani 2012).
-The half-form objective is 1-strongly convex, and an edge's subgradient is at
-most c_half * w_l per coordinate at each of its two endpoints, so dropping an
+Before factoring, the solve builds one reduced problem from two exact
+reductions, and the loop runs only on that problem.
+
+Screening drops edges too light to move the minimizer, in the spirit of safe
+feature elimination (El Ghaoui, Viallon & Rabbani 2012).  The half-form
+objective is 1-strongly convex, and an edge's subgradient is at most
+c_half * w_l per coordinate at each of its two endpoints, so dropping an
 edge set S moves the minimizer by at most 2 * sqrt(n) * c_half * sum_S w_l in
 Frobenius norm.  The solver sorts the weights (stably) and drops the longest
 light prefix whose bound is at most eps * ||A||_F, with eps the double
-machine epsilon: a shift that rounding of A already hides.  The loop then runs
-on the kept edges.  The returned state still covers every input edge: a
-screened row has Z = X_i - X_j and Lam = 0, and ``SolverState.screened``
-counts those rows.  When every edge is screened the answer is X = A.
+machine epsilon: a shift that rounding of A already hides.
+``SolverState.screened`` counts the dropped edges.  When every edge is
+screened the answer is X = A.
 
-The kept edges then pass an a-priori contraction rule.  Let R be the largest
-column range of A.  Every coordinate of the minimizer lies in its column's
-range of A (clipping X into those ranges lowers the fidelity term and does
-not raise the penalty), so |X_i - A_i| <= R per coordinate.  Summing the
-stationarity equations over a group g of s_g rows known to be equal cancels
-its internal edges and leaves
+Contraction folds rows that must be equal at the minimizer, by an a-priori
+rule on the kept edges.  Let R be the largest column range of A.  Every
+coordinate of the minimizer lies in its column's range of A (clipping X into
+those ranges lowers the fidelity term and does not raise the penalty), so
+|X_i - A_i| <= R per coordinate.  Summing the stationarity equations over a
+group g of s_g rows known to be equal cancels its internal edges and leaves
 
     sum_{i in g} (X_i - A_i) + c_half * sum_{l leaving g} w_l * (+-G_l) = 0,
 
@@ -53,17 +55,22 @@ of the edges leaving g, then no coordinate of G_l can be +-1, so the edge's
 two rows are equal at the minimizer.  Such edges are contracted (with a
 relative margin of a few machine epsilons per summed weight, so rounding
 never decides the test), and the rule repeats on the contracted graph until
-no edge passes it.  Each super-node g keeps the sum of its rows of A as
-S * mean(A_g), with fidelity weight s_g, and parallel edges merge by summing
-their weights.  The loop solves this reduced problem with S + nu*L, and its
-stop measures the change of the lifted X, ||sqrt(s) * dX_g||_F.  The lifted
-state covers every input row and edge: X copies each super-node's row to
-its members, a merged edge's Z is copied to its parallel edges (with their
-orientation) and its Lam is split among them by w_l / W_e, and a contracted
-edge has Z = 0 and Lam = 0.  ``SolverState.contracted`` counts the input
-rows folded into another row, m minus the number of super-nodes.  Where
-nothing contracts, the loop runs on the kept edges with s = 1, exactly as
-without the rule.
+no edge passes it.  ``SolverState.contracted`` counts the input rows folded
+into another row, m minus the number of super-nodes.
+
+The reduced problem has one super-node per group, with fidelity weight s_g
+and the sum of its rows of A as S * mean(A_g), and one merged edge per pair
+of adjacent groups, weighing the sum of its kept parallel edges.  Where
+nothing contracts it is the kept-edge problem with s = 1.  The loop solves it
+with S + nu*L, and its stop measures the change of the lifted X,
+||sqrt(s) * dX_g||_F.  One pair of maps joins it to the input problem.
+``restrict`` takes a warm start to group means of X, weighted means of Z and
+sums of U over parallel edges; screened and contracted edges have no part in
+it.  ``lift`` copies each super-node's row to its members, a merged edge's Z
+to its parallel edges (with their orientation), and splits its Lam among
+them by w_l / W_e.  Every other input edge gets Z = X_i - X_j and Lam = 0:
+that difference is exactly 0 on a contracted edge, and on a screened edge it
+is the difference of the returned X.
 """
 
 from __future__ import annotations
@@ -100,7 +107,8 @@ class SolverConfig:
 
     ``c`` is the regularization weight in the chosen objective convention,
     ``nu`` the positive augmented-Lagrangian penalty, ``tol`` the stopping
-    threshold on the Frobenius norm of successive centroid iterates.
+    threshold on the Frobenius norm of successive centroid iterates (and, for
+    a warm start, of the primal residual).
     """
 
     c: float
@@ -142,21 +150,6 @@ class SolverState:
     contracted: int = 0
 
 
-def soft_threshold(v, t):
-    """Componentwise shrink toward zero: sign(v) * max(|v| - t, 0).
-
-    Computed as ``v - clip(v, -t, t)``, which gives the same values except
-    that a shrunk entry is always +0.  ``t`` must be nonnegative; it
-    broadcasts against ``v``, so a per-row threshold column works for matrix
-    input.
-    """
-    v = np.asarray(v, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("soft-threshold amount must be >= 0")
-    return v - np.clip(v, -t, t)
-
-
 def incidence(edges: EdgeSet) -> sp.csr_matrix:
     """Signed edge-incidence operator E with (EX)_l = X_{l1} - X_{l2}."""
     return _incidence(edges.pairs, edges.m)
@@ -172,18 +165,17 @@ def objective(A, X, edges: EdgeSet, c: float, convention: str = PAPER) -> float:
     fid = a * float(np.sum((A - X) ** 2))
     if edges.n_edges == 0 or c == 0:
         return fid
-    return fid + c * float(edges.weights @ np.abs(_differences(X, edges)).sum(axis=1))
+    return fid + c * float(edges.weights @ np.abs(_differences(X, edges.pairs)).sum(axis=1))
 
 
-def _factor(edges: EdgeSet, nu: float, fidelity: np.ndarray | None = None):
+def _factor(edges: EdgeSet, nu: float, fidelity: np.ndarray):
     """E, E^T as CSR, and the symmetric-mode LU factor of S + nu * E^T E
-    (minimum-degree ordering, diagonal pivots; see the module docstring).
-    S is the diagonal of ``fidelity``, the identity when it is None."""
+    (minimum-degree ordering, diagonal pivots; see the module docstring),
+    with S the diagonal of ``fidelity``."""
     Einc = incidence(edges)
     EincT = Einc.T.tocsr()
     lap = (EincT @ Einc).tocsc()
-    S = sp.identity(edges.m, format="csc") if fidelity is None else sp.diags(fidelity, format="csc")
-    lu = splu((S + nu * lap).tocsc(),
+    lu = splu((sp.diags(fidelity, format="csc") + nu * lap).tocsc(),
               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     return Einc, EincT, lu
@@ -216,14 +208,15 @@ def _merge(pairs: np.ndarray, weights: np.ndarray, label: np.ndarray, G: int):
 
 @dataclass
 class _Reduction:
-    """Super-nodes found by :func:`_contract`.
+    """The reduced problem of :func:`_reduce` and its maps to the input.
 
     Input row i belongs to super-node ``label[i]`` of ``size`` rows;
     ``edges`` are the merged edges between super-nodes.  ``members`` (G x m)
     sums the rows of each super-node.  ``copy`` (merged x input edges) holds
-    +-1 where an input edge is a parallel copy of a merged edge, with the sign
-    of its orientation, and ``share`` the same entries times w_l / W_e; a
-    contracted edge has no entry in either.
+    +-1 where an input edge is a kept parallel copy of a merged edge, with the
+    sign of its orientation, and ``share`` the same entries times w_l / W_e;
+    a screened or contracted edge has no entry in either.  ``free`` lists
+    those edges, and ``pairs`` are all input edges.
     """
 
     label: np.ndarray
@@ -232,6 +225,8 @@ class _Reduction:
     members: sp.csr_matrix
     copy: sp.csr_matrix
     share: sp.csr_matrix
+    free: np.ndarray
+    pairs: np.ndarray
 
     def restrict(self, X, Z, U):
         """A warm start on the input rows and edges, mapped onto the super-nodes:
@@ -240,17 +235,23 @@ class _Reduction:
 
     def lift(self, X, Z, Lam):
         """A reduced state on every input row and edge (see the module docstring)."""
-        return X[self.label], self.copy.T @ Z, self.share.T @ Lam
+        X = X[self.label]
+        Z_in = self.copy.T @ Z
+        Z_in[self.free] = _differences(X, self.pairs[self.free])
+        return X, Z_in, self.share.T @ Lam
 
 
-def _contract(A, edges: EdgeSet, c_half: float) -> _Reduction | None:
-    """Super-nodes of the rows the contraction rule proves equal at the
-    minimizer (see the module docstring), or None when no edge passes it."""
+def _reduce(A, edges: EdgeSet, keep: np.ndarray, c_half: float) -> _Reduction:
+    """The reduced problem over the edges ``keep`` marks: super-nodes of the
+    rows the contraction rule proves equal at the minimizer (see the module
+    docstring), one per row when no edge passes it."""
     m = edges.m
+    kept = np.nonzero(keep)[0]
     span = float(np.ptp(A, axis=0).max())
-    slack = 1.0 + _CONTRACT_EPS * edges.n_edges
+    slack = 1.0 + _CONTRACT_EPS * kept.size
     label, size = np.arange(m), np.ones(m)
-    pairs, weights = edges.pairs, edges.weights
+    kept_pairs, kept_weights = edges.pairs[kept], edges.weights[kept]
+    pairs, weights = kept_pairs, kept_weights
     while pairs.shape[0]:
         G = size.size
         load = np.bincount(pairs[:, 0], weights, G) + np.bincount(pairs[:, 1], weights, G)
@@ -266,49 +267,51 @@ def _contract(A, edges: EdgeSet, c_half: float) -> _Reduction | None:
                           shape=(G, G)), directed=False)
         label, size = comp[label], np.bincount(comp, size, G)
         pairs, weights = _merge(pairs, weights, comp, G)[:2]
-    if size.size == m:
-        return None
     G = size.size
-    pairs, weights, leaves, row, forward = _merge(edges.pairs, edges.weights, label, G)
-    cols = np.nonzero(leaves)[0]
+    pairs, weights, leaves, row, forward = _merge(kept_pairs, kept_weights, label, G)
+    cols = kept[leaves]
+    free = ~keep  # screened, then contracted: both ends in one super-node
+    free[kept[~leaves]] = True
     sign = np.where(forward, 1.0, -1.0)
     shape = (weights.size, edges.n_edges)
     return _Reduction(
         label=label, size=size, edges=EdgeSet(G, pairs, weights),
         members=sp.csr_matrix((np.ones(m), (label, np.arange(m))), shape=(G, m)),
         copy=sp.csr_matrix((sign, (row, cols)), shape=shape),
-        share=sp.csr_matrix((sign * edges.weights[cols] / weights[row], (row, cols)), shape=shape))
+        share=sp.csr_matrix((sign * edges.weights[cols] / weights[row], (row, cols)), shape=shape),
+        free=np.flatnonzero(free), pairs=edges.pairs)
 
 
-def _differences(X, edges: EdgeSet) -> np.ndarray:
-    return X[edges.pairs[:, 0]] - X[edges.pairs[:, 1]]
+def _differences(X, pairs: np.ndarray) -> np.ndarray:
+    return X[pairs[:, 0]] - X[pairs[:, 1]]
 
 
 def _unpenalized(A, edges: EdgeSet, screened: int) -> SolverState:
     """The exact answer when no edge is active: the fidelity minimizer X = A."""
     X = A.copy()
-    return SolverState(X=X, Z=_differences(X, edges), Lam=np.zeros((edges.n_edges, A.shape[1])),
-                       iters=1, final_change=0.0, converged=True, history=np.zeros(1),
-                       screened=screened)
+    Z = _differences(X, edges.pairs)
+    return SolverState(X=X, Z=Z, Lam=np.zeros_like(Z), iters=1, final_change=0.0,
+                       converged=True, history=np.zeros(1), screened=screened)
 
 
 def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = None) -> SolverState:
     """Minimize the convex clustering objective by ADMM.
 
     Alternates an exact centroid update (one sparse factorization of
-    I + nu*L, reused every iteration), a per-edge soft-threshold update of
+    S + nu*L, reused every iteration), a per-edge soft-threshold update of
     the split variables, and a step of the scaled dual U = Lam / nu.  Stops
     when the Frobenius change of the centroid matrix drops to ``cfg.tol``;
     hitting ``cfg.max_iter`` first is reported via ``converged=False``, not
-    raised.  Edges too light to move the minimizer are screened out before
-    the factorization, and rows the optimality conditions force together are
-    contracted into weighted super-nodes (see the module docstring); the
-    returned X, Z and Lam still have one row per input row and edge.
+    raised.  The loop runs on the reduced problem of screening and
+    contraction (see the module docstring); the returned X, Z and Lam still
+    have one row per input row and edge.
 
     ``init`` warm-starts all three blocks (regularization paths); the default
     start is all zeros.  ``init.Lam`` and the returned ``Lam`` are unscaled:
-    U = Lam / nu on entry and Lam = nu * U on exit.  The solve is
-    deterministic: no randomness anywhere.
+    U = Lam / nu on entry and Lam = nu * U on exit.  From a converged state
+    the first centroid update reproduces that state's X, so a warm-started
+    solve also waits for the primal residual ||Z - E X||_F to drop to
+    ``cfg.tol``.  The solve is deterministic: no randomness anywhere.
     """
     A = check_data(A)
     m, n = A.shape
@@ -323,35 +326,23 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
     screened = E - int(np.count_nonzero(keep))
     if screened == E:
         return _unpenalized(A, edges, screened=E)
-    full = edges
-    if screened:
-        edges = EdgeSet(m, edges.pairs[keep], edges.weights[keep])
-    red = _contract(A, edges, c_half)
-    if red is None:
-        contracted, fidelity, target = 0, None, A
-    else:
-        contracted, fidelity, target = m - red.size.size, red.size, red.members @ A
-        edges = red.edges
-    G, E = edges.m, edges.n_edges
+    red = _reduce(A, edges, keep, c_half)
+    G, E = red.edges.m, red.edges.n_edges
+    target = red.members @ A
     # the stop measures the lifted change, ||sqrt(s) * dX||_F
-    root = 1.0 if fidelity is None else np.sqrt(fidelity)[:, None]
+    root = np.sqrt(red.size)[:, None]
 
     nu = cfg.nu
-    Einc, EincT, lu = _factor(edges, nu, fidelity)
+    Einc, EincT, lu = _factor(red.edges, nu, red.size)
     # soft_threshold(W, t) = W - clip(W, -t, t), with t spread to E x n once
-    hi = np.ascontiguousarray(np.broadcast_to((c_half / nu) * edges.weights[:, None], (E, n)))
+    hi = np.ascontiguousarray(np.broadcast_to((c_half / nu) * red.edges.weights[:, None], (E, n)))
     lo = -hi
 
     if init is not None:
-        X = np.array(init.X, dtype=float, copy=True)
-        Z = np.array(init.Z, dtype=float, copy=True)
-        U = np.asarray(init.Lam, dtype=float) / nu
-        if X.shape != (m, n) or Z.shape != (full.n_edges, n) or U.shape != Z.shape:
+        X, Z, Lam = (np.asarray(v, dtype=float) for v in (init.X, init.Z, init.Lam))
+        if X.shape != (m, n) or Z.shape != (edges.n_edges, n) or Lam.shape != Z.shape:
             raise ValueError("warm-start state shapes do not match problem")
-        if screened:
-            Z, U = Z[keep], U[keep]
-        if red is not None:
-            X, Z, U = red.restrict(X, Z, U)
+        X, Z, U = red.restrict(X, Z, Lam / nu)
     else:
         X = np.zeros((G, n))
         Z = np.zeros((E, n))
@@ -379,22 +370,15 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
         change = float(np.linalg.norm((X_new - X) * root))
         X = X_new
         history[it - 1] = change
-        if change <= cfg.tol:
+        # W holds the primal residual Z - D; einsum keeps it off threaded BLAS
+        if change <= cfg.tol and (init is None or np.sqrt(np.einsum("ij,ij->", W, W)) <= cfg.tol):
             converged = True
             break
 
-    Lam = nu * U
-    if red is not None:
-        X, Z, Lam = red.lift(X, Z, Lam)
-    if screened:
-        Z_kept, Lam_kept = Z, Lam
-        Z = _differences(X, full)
-        Z[keep] = Z_kept
-        Lam = np.zeros_like(Z)
-        Lam[keep] = Lam_kept
+    X, Z, Lam = red.lift(X, Z, nu * U)
     return SolverState(X=X, Z=Z, Lam=Lam, iters=it, final_change=change,
                        converged=converged, history=history[:it].copy(), screened=screened,
-                       contracted=contracted)
+                       contracted=m - G)
 
 
 def kkt_residual(A, X, edges: EdgeSet, c: float, convention: str = PAPER,

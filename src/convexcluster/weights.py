@@ -33,12 +33,12 @@ class EdgeSet:
             i, j = self.pairs[:, 0], self.pairs[:, 1]
             if np.any(i < 0) or np.any(j >= self.m) or np.any(i >= j):
                 raise ValueError("edges must satisfy 0 <= i < j < m")
-            order = np.lexsort((j, i))
-            self.pairs = self.pairs[order]
-            self.weights = self.weights[order]
-            key = self.pairs[:, 0] * self.m + self.pairs[:, 1]
-            if np.any(np.diff(key) == 0):
-                raise ValueError("duplicate edges")
+            key = i * self.m + j
+            if np.any(np.diff(key) <= 0):  # sorting sorted input costs more than this test
+                order = np.lexsort((j, i))
+                self.pairs, self.weights, key = self.pairs[order], self.weights[order], key[order]
+                if np.any(np.diff(key) == 0):
+                    raise ValueError("duplicate edges")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
             raise ValueError("weights must be finite and nonnegative")
         keep = self.weights > 0

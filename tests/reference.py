@@ -22,10 +22,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 from scipy.spatial.distance import pdist, squareform
 
-from convexcluster.core import (center_columns, check_data, contiguous_order, difference_operator,
-                                index_sets)
-from convexcluster.solver import (PAPER, SolverConfig, SolverState, _contract, _factor,
-                                  _fidelity_factor, incidence)
+from convexcluster.core import (center_columns, check_data, difference_operator,
+                                first_occurrence_ranks, index_sets)
+from convexcluster.solver import (PAPER, SolverConfig, SolverState, _factor, _fidelity_factor,
+                                  _reduce, incidence)
 
 
 def knn_edges_dense(A, r: float, k: int):
@@ -71,7 +71,7 @@ def tau_gamma_dense(A, labels, r: float) -> dict:
     between rows of B over m_k m_l, as the paper defines it.
     """
     A = np.asarray(A, dtype=float)
-    perm = contiguous_order(labels)
+    perm = np.argsort(first_occurrence_ranks(labels), kind="stable")
     sets = index_sets(np.asarray(labels)[perm])
     B = np.asarray(difference_operator(A.shape[0]) @ center_columns(A[perm]))
     gamma = np.exp(-r * np.sum(B ** 2, axis=1))
@@ -144,14 +144,13 @@ def soft_threshold_sign(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def general_factor(edges, nu: float, fidelity=None):
+def general_factor(edges, nu: float, fidelity):
     """``solver._factor`` as for a general matrix: SuperLU's default COLAMD
     ordering with partial pivoting."""
     Einc = incidence(edges)
     EincT = Einc.T.tocsr()
     lap = (EincT @ Einc).tocsc()
-    S = sp.identity(edges.m, format="csc") if fidelity is None else sp.diags(fidelity, format="csc")
-    return Einc, EincT, splu((S + nu * lap).tocsc())
+    return Einc, EincT, splu((sp.diags(fidelity, format="csc") + nu * lap).tocsc())
 
 
 def augmented_lagrangian(A, X, Z, Lam, edges, c: float, nu: float,
@@ -177,9 +176,10 @@ def admm_unscaled(A, edges, cfg: SolverConfig, init: SolverState | None = None) 
     """ADMM with the unscaled multiplier: Lam / nu in the split update and
     Lam + nu (Z - D) in the dual step, every iteration.
 
-    Screens no edge.  Where ``solver._contract`` finds super-nodes, it solves
-    the same reduced problem as the package (fidelity weights s, merged edges,
-    the lifted stop ||sqrt(s) * dX||_F) and lifts the result the same way."""
+    Screens no edge, but solves the same contracted problem as the package
+    (``solver._reduce`` with every edge kept: fidelity weights s, merged
+    edges, the lifted stop ||sqrt(s) * dX||_F), with the same warm-start
+    primal-residual stop, and lifts the result the same way."""
     A = check_data(A)
     m, n = A.shape
     if edges.m != m:
@@ -193,26 +193,20 @@ def admm_unscaled(A, edges, cfg: SolverConfig, init: SolverState | None = None) 
         return SolverState(X=X, Z=D, Lam=np.zeros((E, n)), iters=1,
                            final_change=0.0, converged=True, history=np.zeros(1))
 
-    red = _contract(A, edges, c_half)
-    fidelity, target, root = None, A, 1.0
-    if red is not None:
-        fidelity, target, root = red.size, red.members @ A, np.sqrt(red.size)[:, None]
-        edges = red.edges
-    Einc, EincT, lu = _factor(edges, cfg.nu, fidelity)
-    thresh = (c_half / cfg.nu) * edges.weights[:, None]
+    red = _reduce(A, edges, np.ones(E, dtype=bool), c_half)
+    target, root = red.members @ A, np.sqrt(red.size)[:, None]
+    Einc, EincT, lu = _factor(red.edges, cfg.nu, red.size)
+    thresh = (c_half / cfg.nu) * red.edges.weights[:, None]
 
     if init is not None:
-        X = np.array(init.X, dtype=float, copy=True)
-        Z = np.array(init.Z, dtype=float, copy=True)
-        Lam = np.array(init.Lam, dtype=float, copy=True)
+        X, Z, Lam = (np.asarray(v, dtype=float) for v in (init.X, init.Z, init.Lam))
         if X.shape != (m, n) or Z.shape != (E, n) or Lam.shape != (E, n):
             raise ValueError("warm-start state shapes do not match problem")
-        if red is not None:
-            X, Z, Lam = red.restrict(X, Z, Lam)
+        X, Z, Lam = red.restrict(X, Z, Lam)
     else:
-        X = np.zeros((edges.m, n))
-        Z = np.zeros((edges.n_edges, n))
-        Lam = np.zeros((edges.n_edges, n))
+        X = np.zeros((red.edges.m, n))
+        Z = np.zeros((red.edges.n_edges, n))
+        Lam = np.zeros((red.edges.n_edges, n))
 
     history = np.empty(cfg.max_iter)
     converged = False
@@ -223,15 +217,16 @@ def admm_unscaled(A, edges, cfg: SolverConfig, init: SolverState | None = None) 
         X_new = lu.solve(rhs)
         D = Einc @ X_new
         Z = soft_threshold_sign(D - Lam / cfg.nu, thresh)
-        Lam = Lam + cfg.nu * (Z - D)
+        resid = Z - D
+        Lam = Lam + cfg.nu * resid
         change = float(np.linalg.norm((X_new - X) * root))
         X = X_new
         history[it - 1] = change
-        if change <= cfg.tol:
+        if change <= cfg.tol and (
+                init is None or np.sqrt(np.einsum("ij,ij->", resid, resid)) <= cfg.tol):
             converged = True
             break
 
-    if red is not None:
-        X, Z, Lam = red.lift(X, Z, Lam)
+    X, Z, Lam = red.lift(X, Z, Lam)
     return SolverState(X=X, Z=Z, Lam=Lam, iters=it, final_change=change,
                        converged=converged, history=history[:it].copy())

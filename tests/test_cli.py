@@ -68,7 +68,6 @@ def test_cluster_c_zero_gives_singletons(ball_csv, capsys):
     report = json.loads(stdout)
     assert report["result"]["n_clusters"] == 24
     assert "rand_index" in report["result"]
-    assert report["config"]["seed"] == 0
 
 
 def test_cluster_reports_screened_edges(ball_csv, capsys):
@@ -129,18 +128,18 @@ def test_timing_is_a_cluster_and_bench_flag_only(ball_csv, tmp_path, capsys):
     assert "unknown config keys: ['timing']" in err
 
 
-def test_seed_is_a_cluster_and_bench_flag_only(ball_csv, tmp_path, capsys):
-    for command in ("cluster", "bench"):
-        assert cli.build_parser().parse_args([command, str(ball_csv), "--seed", "4"]).seed == 4
-    # the path solve draws no random numbers, so it rejects the flag
-    with pytest.raises(SystemExit) as exc:
-        main(["path", str(ball_csv), "--seed", "4"])
-    assert exc.value.code == 2
-    cfg = tmp_path / "path.cfg"
-    cfg.write_text("seed=4\n")
-    code, _, err = run_cli(["path", str(ball_csv), "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "unknown config keys: ['seed']" in err
+def test_seed_is_a_bench_flag_only(ball_csv, tmp_path, capsys):
+    assert cli.build_parser().parse_args(["bench", str(ball_csv), "--seed", "4"]).seed == 4
+    # the cluster and path solves draw no random numbers, so they reject the flag
+    for command in ("cluster", "path"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(ball_csv), "--seed", "4"])
+        assert exc.value.code == 2
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text("seed=4\n")
+        code, _, err = run_cli([command, str(ball_csv), "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown config keys: ['seed']" in err
 
 
 def test_cluster_auto_params_rejects_zero_candidates(ball_csv, capsys):
@@ -208,6 +207,25 @@ def test_path_command(ball_csv, capsys):
     assert counts == [24, 3, 1]
     rand_at_3 = float(lines[2].split(",")[2])
     assert rand_at_3 == 1.0
+
+
+def test_warm_path_does_not_stop_on_its_start(tmp_path, capsys):
+    # from the c = 0.001 solution the first X-update at c = 15 reproduces the
+    # 24 singletons, so a stop on the iterate change alone ends there
+    data = tmp_path / "b.csv"
+    main(["generate", "ball", "--centers", "0,0", "4,0", "2,3.5",
+          "--per-cluster", "8", "--seed", "3", "-o", str(data)])
+    capsys.readouterr()
+    args = ["path", str(data), "--label-column", "label", "--r", "0.8",
+            "--knn", "full", "--c-grid", "0.001,15,1e10", "--tol", "1e-6"]
+    rows = {}
+    for mode in ("warm", "cold"):
+        code, stdout, _ = run_cli(args + (["--cold"] if mode == "cold" else []), capsys)
+        assert code == 0
+        rows[mode] = [line.split(",") for line in stdout.strip().splitlines()[1:]]
+    counts = {mode: [int(row[1]) for row in rows[mode]] for mode in rows}
+    assert counts["warm"] == counts["cold"] == [24, 3, 1]
+    assert int(rows["warm"][1][3]) > 1  # iterations at c = 15
 
 
 def test_bench_command_and_determinism(ball_csv, capsys):

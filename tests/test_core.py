@@ -8,13 +8,10 @@ from convexcluster.core import (
     all_pairs,
     center_columns,
     check_data,
-    contiguous_order,
     difference_operator,
     index_sets,
     pair_from_row_index,
-    pair_pos,
     pair_row_index,
-    pos_pair,
 )
 
 
@@ -73,8 +70,8 @@ def test_difference_rows_match_pair_inverse(m):
     X = gen.normal(size=(m, 3))
     Y = difference_operator(m) @ X
     for p in range(m * (m - 1) // 2):
-        i, j = pos_pair(p, m)
-        assert np.allclose(Y[p], X[i] - X[j])
+        i, j = pair_from_row_index(p + 1, m)
+        assert np.allclose(Y[p], X[i - 1] - X[j - 1])
 
 
 def test_pair_row_index_examples():
@@ -104,7 +101,7 @@ def test_all_pairs_matches_pair_pos():
     m = 7
     pairs = all_pairs(m)
     for p, (i, j) in enumerate(pairs):
-        assert pair_pos(int(i), int(j), m) == p
+        assert pair_row_index(int(i) + 1, int(j) + 1, m) == p + 1
 
 
 def test_index_sets_examples():
@@ -153,13 +150,3 @@ def test_index_sets_partition_property(m):
                 assert not (merged & v)
                 merged |= v
             assert merged == sets.between
-
-
-def test_contiguous_order_blocks_and_stability():
-    labels = np.array([2, 0, 2, 1, 0, 2])
-    perm = contiguous_order(labels)
-    permuted = labels[perm]
-    # first-occurrence cluster order: 2, 0, 1
-    assert permuted.tolist() == [2, 2, 2, 0, 0, 1]
-    # stable within cluster: original relative order preserved
-    assert perm.tolist() == [0, 2, 5, 1, 4, 3]

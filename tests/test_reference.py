@@ -17,11 +17,11 @@ from convexcluster.baselines import hierarchical
 from convexcluster.core import all_pairs
 from convexcluster.datagen import BallModelSpec, embedded_circles, paper_gaussians, stochastic_ball
 from convexcluster.extraction import canonical_labels, extract_clusters
-from convexcluster.solver import SolverConfig, SolverState, admm_solve, soft_threshold
+from convexcluster.solver import SolverConfig, SolverState, admm_solve
 from convexcluster.theory import c_interval_k, c_interval_two
 from convexcluster.weights import gaussian_edges
 from reference import (admm_unscaled, general_factor, hierarchical_loop, knn_edges_dense,
-                       kappa_lower_loop, soft_threshold_sign, tau_gamma_dense,
+                       kappa_lower_loop, tau_gamma_dense,
                        threshold_components_dense)
 
 
@@ -296,7 +296,7 @@ def test_symmetric_factor_matches_general_factor(case, monkeypatch):
     M = sp.identity(edges.m) + cfg.nu * (E.T @ E)
     B = np.random.default_rng(24).normal(size=A.shape)
     for factor in (solver._factor, general_factor):
-        lu = factor(edges, cfg.nu)[2]
+        lu = factor(edges, cfg.nu, np.ones(edges.m))[2]
         assert np.abs(M @ lu.solve(B) - B).max() <= 1e-13 * np.abs(B).max(), factor.__name__
 
 
@@ -326,15 +326,3 @@ def test_screened_paper_gaussian_matches_unscreened_reference_labels():
     assert got.converged and ref.converged
     assert np.array_equal(extract_clusters(got.X, 1e-4).labels,
                           extract_clusters(ref.X, 1e-4).labels)
-
-
-def test_soft_threshold_matches_sign_form_on_special_values():
-    v = np.array([0.0, -0.0, 1.5, -1.5, 0.25, -0.25, np.inf, -np.inf, np.nan])
-    per_row = np.array([[0.0], [0.5], [np.inf]])
-    grid = np.tile(v, (3, 1))
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN in both forms
-        for t in (0.0, 0.5, np.inf):
-            assert np.array_equal(soft_threshold(v, t), soft_threshold_sign(v, t),
-                                  equal_nan=True), t
-        assert np.array_equal(soft_threshold(grid, per_row), soft_threshold_sign(grid, per_row),
-                              equal_nan=True)

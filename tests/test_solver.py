@@ -11,13 +11,12 @@ from convexcluster.solver import (
     incidence,
     kkt_residual,
     objective,
-    soft_threshold,
 )
 from convexcluster.theory import c_interval_k
 from convexcluster.weights import EdgeSet, gaussian_edges
 
 from oracle import reference_minimizer
-from reference import augmented_lagrangian
+from reference import augmented_lagrangian, soft_threshold_sign
 
 TWO_POINTS = np.array([[0.0], [2.0]])
 TWO_EDGE = EdgeSet(m=2, pairs=[[0, 1]], weights=[1.0])
@@ -25,17 +24,6 @@ TWO_EDGE = EdgeSet(m=2, pairs=[[0, 1]], weights=[1.0])
 
 def tight(c, convention=PAPER, nu=1.0):
     return SolverConfig(c=c, nu=nu, tol=1e-11, max_iter=300000, convention=convention)
-
-
-def test_soft_threshold_examples():
-    assert soft_threshold(3.0, 1.0) == 2.0
-    assert soft_threshold(-0.5, 1.0) == 0.0
-    assert soft_threshold(0.0, 0.0) == 0.0
-    v = np.array([[3.0, -3.0], [0.5, -0.5]])
-    out = soft_threshold(v, np.array([[1.0], [1.0]]))
-    assert np.allclose(out, [[2.0, -2.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        soft_threshold(1.0, -0.1)
 
 
 def test_config_validation():
@@ -115,7 +103,7 @@ def test_x_update_matches_dense_solve_and_descends():
     after_x = augmented_lagrangian(A, X1, Z, Lam, edges, c, nu, HALF)
     assert after_x <= before + 1e-12
     thr = (c / nu) * edges.weights[:, None]
-    Z1 = soft_threshold(E @ X1 - Lam / nu, thr)
+    Z1 = soft_threshold_sign(E @ X1 - Lam / nu, thr)
     after_z = augmented_lagrangian(A, X1, Z1, Lam, edges, c, nu, HALF)
     assert after_z <= after_x + 1e-12
 
@@ -380,6 +368,34 @@ def test_warm_path_matches_cold_while_the_contracted_set_changes(monkeypatch):
     assert [p.n_clusters for p in warm.points] == [6, 2, 2, 2, 1]
     cold = extraction.regularization_path(A, edges, grid, cfg, merge_tol=1e-7, warm_start=False)
     assert contracted[:len(grid)] == contracted[len(grid):]
+    for w, c in zip(warm.points, cold.points):
+        assert np.array_equal(w.assignment.labels, c.assignment.labels), w.c
+
+
+def test_warm_path_matches_cold_while_the_screened_and_contracted_sets_change(monkeypatch):
+    # both inputs side by side, with no edge between them: the far groups'
+    # cross edges are screened until c ~ 1e24, the cascade contracts first,
+    # and every warm start passes through the one restrict/lift pair
+    A1, e1, _ = _two_far_groups(r=0.3)
+    A2, e2 = _cascade()
+    A = np.vstack([A1, A2])
+    edges = EdgeSet(12, np.vstack([e1.pairs, e2.pairs + 6]),
+                    np.concatenate([e1.weights, e2.weights]))
+    counts = []
+
+    def recording_solve(A, edges, cfg, init=None):
+        state = admm_solve(A, edges, cfg, init)
+        counts.append((state.screened, state.contracted))
+        return state
+
+    monkeypatch.setattr(extraction, "admm_solve", recording_solve)
+    grid = [0.01, 0.8, 1.5, 10.0, 1e3, 1e10, 1e14, 1e20, 1e26]
+    cfg = SolverConfig(c=0.0, tol=1e-9, max_iter=200000, convention=HALF)
+    warm = extraction.regularization_path(A, edges, grid, cfg, merge_tol=1e-7)
+    assert counts == [(9, 0), (9, 1), (9, 2), (9, 5), (9, 9), (8, 9), (5, 9), (2, 9), (0, 10)]
+    assert [p.n_clusters for p in warm.points] == [12, 6, 4, 3, 3, 3, 3, 3, 2]
+    cold = extraction.regularization_path(A, edges, grid, cfg, merge_tol=1e-7, warm_start=False)
+    assert counts[:len(grid)] == counts[len(grid):]
     for w, c in zip(warm.points, cold.points):
         assert np.array_equal(w.assignment.labels, c.assignment.labels), w.c
 

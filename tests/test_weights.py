@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convexcluster.core import pair_pos
+from convexcluster.core import pair_row_index
 from convexcluster.weights import EdgeSet, gaussian_edges, gaussian_weights
 
 
@@ -19,9 +19,9 @@ def test_gaussian_weights_examples():
 
     g = gaussian_weights(FOUR_POINTS, 0.1)
     m = 4
-    assert g[pair_pos(0, 1, m)] == 1.0
-    assert g[pair_pos(2, 3, m)] == 1.0
-    cross = [g[pair_pos(i, j, m)] for i in (0, 1) for j in (2, 3)]
+    assert g[pair_row_index(1, 2, m) - 1] == 1.0
+    assert g[pair_row_index(3, 4, m) - 1] == 1.0
+    cross = [g[pair_row_index(i, j, m) - 1] for i in (1, 2) for j in (3, 4)]
     assert np.allclose(cross, math.exp(-0.9))
     assert abs(math.exp(-0.9) - 0.40657) < 1e-5
 
@@ -99,6 +99,8 @@ def test_edge_set_normalizes_and_validates():
         EdgeSet(m=3, pairs=[[1, 1]], weights=[1.0])
     with pytest.raises(ValueError):
         EdgeSet(m=3, pairs=[[0, 1], [0, 1]], weights=[1.0, 1.0])
+    with pytest.raises(ValueError):  # adjacent only once sorted
+        EdgeSet(m=3, pairs=[[0, 2], [0, 1], [0, 2]], weights=[1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         EdgeSet(m=3, pairs=[[0, 1]], weights=[-1.0])
     # zero-weight edges dropped
