@@ -375,6 +375,9 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
             converged = True
             break
 
+    # free the factor and the loop's E x n buffers before lift allocates the
+    # input-edge arrays
+    del lu, Einc, EincT, W, hi, lo
     X, Z, Lam = red.lift(X, Z, nu * U)
     return SolverState(X=X, Z=Z, Lam=Lam, iters=it, final_change=change,
                        converged=converged, history=history[:it].copy(), screened=screened,

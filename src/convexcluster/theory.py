@@ -15,8 +15,11 @@ diameters, eps, tau pairs) and of a separation report uses that order.
 
 Only the kernel weights depend on the bandwidth r.  The clusters are measured
 once: sizes, diameters, cross-cluster distances and the mean differences
-tau^{k,l}.  Each r then re-evaluates the closed forms from those measurements,
-so ``search_feasible_r`` measures the clusters once however many r it tries.
+tau^{k,l}.  ``search_feasible_r`` then scans r with the bounds of the c
+interval alone (kernel extremes, kappa_lower, kappa_upper and the sign
+condition), which one function evaluates for the scan and for every report
+alike, and builds one report, at the r it returns.  A report carries the
+separation condition too, so a caller that has one need not measure again.
 """
 
 from __future__ import annotations
@@ -158,40 +161,56 @@ def _prepared(A, labels) -> _Prepared:
     )
 
 
-def _interval(prep: _Prepared, r: float, two: bool | None = None) -> FeasibilityReport:
-    """Evaluate the closed forms at bandwidth r: the 2-cluster formulas when
-    ``two`` is True, the K-cluster ones when False, and by K when None."""
+def _check_r(r: float) -> None:
     if r < 0:
         raise ValueError(f"bandwidth r must be >= 0, got {r}")
+
+
+def _formulas(prep: _Prepared, two: bool | None) -> bool:
+    """Whether the 2-cluster formulas apply: when ``two`` is True (K must be
+    2), not when False, and by K when None."""
     K = len(prep.sizes)
     if two and K != 2:
         raise ValueError(f"expected exactly 2 clusters, got {K}")
     if K < 2:
         raise ValueError(f"expected at least 2 clusters, got {K}")
-    two = K == 2 if two is None else two
+    return K == 2 if two is None else two
+
+
+def _r_min(prep: _Prepared) -> tuple[float, float]:
+    """(d, bandwidth lower bound), with d the max pairwise cluster distance:
+    for K = 2 that is the one cross-cluster distance."""
+    d = float(prep.stats.pairwise_dist[np.triu_indices(len(prep.sizes), k=1)].max())
+    return d, r_lower_bound(prep.sizes, d, prep.stats.diameters)
+
+
+class _Bounds(NamedTuple):
+    """The closed forms at one bandwidth r."""
+
+    gmin_w: float
+    gmax_b: float
+    rho: float | None
+    eps: np.ndarray
+    lower: float
+    upper: float
+    feasible: bool
+
+
+def _bounds(prep: _Prepared, r: float, two: bool) -> _Bounds:
+    """Kernel extremes and the c interval at bandwidth r.  The bandwidth scan
+    and every report evaluate them here, so they agree bit for bit."""
     m = sum(prep.sizes)
-    stats = prep.stats
     gmin_w = float(np.exp(-r * prep.within_d2))
-    means_distinct = not any(prep.zero_dims.values())
-    degenerate = prep.min_abs_tau == math.inf
     if two:
         gamma_b = np.exp(-r * prep.cross_d2)
         gmax_b, rho = float(gamma_b.max()), float(gamma_b.mean())
         max_absdiff = float(np.abs(rho - gamma_b).max())
         upper = min((2.0 * prep.min_abs_tau / (m * x) for x in (max_absdiff, rho) if x > 0),
                     default=math.inf)
-        dist_max = stats.min_dist
-        notes = [(degenerate, "all tau_q are zero: centered cluster means coincide, "
-                              "upper bound undefined")]
     else:
-        gmax_b, rho = float(np.exp(-r * stats.min_dist ** 2)), None
+        gmax_b, rho = float(np.exp(-r * prep.stats.min_dist ** 2)), None
         upper = prep.min_abs_tau / (3.0 * m * gmax_b) if gmax_b > 0 else math.inf
-        dist_max = float(stats.pairwise_dist[np.triu_indices(K, k=1)].max())
-        notes = [(not means_distinct, "cluster means are not distinct in every dimension: "
-                                      "theorem hypothesis unmet"),
-                 (degenerate, "all tau vanish: no usable dimension for the upper bound"),
-                 (dist_max != stats.min_dist, "bandwidth bound uses d = max pairwise cluster "
-                  "distance; the separation condition uses the min (both reported)")]
+    degenerate = prep.min_abs_tau == math.inf
     if degenerate:
         upper = math.nan
 
@@ -205,24 +224,50 @@ def _interval(prep: _Prepared, r: float, two: bool | None = None) -> Feasibility
     if math.isnan(gmin_w):
         lower = 0.0
     elif sign_ok:
-        lower = max(0.0, float((eps * stats.diameters / denom).max()))
+        lower = max(0.0, float((eps * prep.stats.diameters / denom).max()))
     else:
         lower = math.inf
+    return _Bounds(gmin_w, gmax_b, rho, eps, lower, upper,
+                   feasible=bool(sign_ok and not degenerate and lower < upper))
+
+
+def _report(prep: _Prepared, r: float, two: bool, b: _Bounds) -> FeasibilityReport:
+    """The full report at bandwidth r, from the bounds evaluated there."""
+    K = len(prep.sizes)
+    stats = prep.stats
+    means_distinct = not any(prep.zero_dims.values())
+    degenerate = prep.min_abs_tau == math.inf
+    dist_max, r_min = _r_min(prep)
+    if two:
+        notes = [(degenerate, "all tau_q are zero: centered cluster means coincide, "
+                              "upper bound undefined")]
+    else:
+        notes = [(not means_distinct, "cluster means are not distinct in every dimension: "
+                                      "theorem hypothesis unmet"),
+                 (degenerate, "all tau vanish: no usable dimension for the upper bound"),
+                 (dist_max != stats.min_dist, "bandwidth bound uses d = max pairwise cluster "
+                  "distance; the separation condition uses the min (both reported)")]
     return FeasibilityReport(
-        n_clusters=K, sizes=prep.sizes, r=float(r),
-        r_min=r_lower_bound(prep.sizes, dist_max, stats.diameters),
-        kappa_lower=lower, kappa_upper=upper,
-        feasible=bool(sign_ok and not degenerate and lower < upper),
+        n_clusters=K, sizes=prep.sizes, r=float(r), r_min=r_min,
+        kappa_lower=b.lower, kappa_upper=b.upper, feasible=b.feasible,
         separated=bool(stats.min_dist > stats.max_dia),
         dist_min=stats.min_dist, dist_max=dist_max,
         diameters=tuple(float(x) for x in stats.diameters),
-        eps=tuple(float(x) for x in eps),
-        gamma_min_within=gmin_w, gamma_max_between=gmax_b, rho=rho,
+        eps=tuple(float(x) for x in b.eps),
+        gamma_min_within=b.gmin_w, gamma_max_between=b.gmax_b, rho=b.rho,
         tau=prep.tau_by_pair[(0, 1)] if two else None,
         tau_by_pair=prep.tau_by_pair, zero_tau_dims=prep.zero_dims,
         means_distinct=means_distinct, degenerate=degenerate,
         notes=tuple(text for applies, text in notes if applies),
     )
+
+
+def _interval(prep: _Prepared, r: float, two: bool | None = None) -> FeasibilityReport:
+    """Evaluate the closed forms at bandwidth r: the 2-cluster formulas when
+    ``two`` is True, the K-cluster ones when False, and by K when None."""
+    _check_r(r)
+    two = _formulas(prep, two)
+    return _report(prep, r, two, _bounds(prep, r, two))
 
 
 def c_interval_two(A, labels, r: float) -> FeasibilityReport:
@@ -337,23 +382,25 @@ _R_TRIES = 60
 def search_feasible_r(A, labels, r_start: float | None = None) -> FeasibilityReport:
     """Grow r geometrically from just above the bandwidth bound until feasible.
 
-    The clusters are measured once; each tried r only re-evaluates the closed
-    forms.  The interval widens without bound as r grows on separated data,
-    so the search terminates quickly; raises if no feasible r is found, which
-    on separated data indicates a degenerate report (equal means).
+    The clusters are measured once.  Each tried r evaluates only the bounds
+    of the c interval, and one report is built, at the r returned.  The
+    interval widens without bound as r grows on separated data, so the search
+    terminates quickly; raises if no feasible r is found, which on separated
+    data indicates a degenerate report (equal means).
     """
     prep = _prepared(A, labels)
-    probe = _interval(prep, 0.0)
-    if not math.isfinite(probe.r_min):
+    two = _formulas(prep, None)
+    r_min = _r_min(prep)[1]
+    if not math.isfinite(r_min):
         raise ValueError("no finite bandwidth bound: separation condition fails")
-    r = r_start if r_start is not None else max(probe.r_min * 1.05, 1e-3)
-    last = probe
+    r = r_start if r_start is not None else max(r_min * 1.05, 1e-3)
+    _check_r(r)
     for _ in range(_R_TRIES):
-        last = _interval(prep, r)
-        if last.feasible:
-            return last
-        r *= _R_GROWTH
-    raise ValueError(f"no feasible r found after {_R_TRIES} tries (last r={last.r:.4g})")
+        b = _bounds(prep, r, two)
+        if b.feasible:
+            return _report(prep, r, two, b)
+        last, r = r, r * _R_GROWTH
+    raise ValueError(f"no feasible r found after {_R_TRIES} tries (last r={float(last):.4g})")
 
 
 def candidate_c_values(report: FeasibilityReport, count: int = 5) -> np.ndarray:

@@ -333,14 +333,50 @@ def test_feasibility_reports_follow_first_occurrence(ball_csv, tmp_path, capsys,
         assert np.array_equal(means, first)
 
 
+def test_feasibility_measures_clusters_once(ball_csv, capsys, monkeypatch):
+    calls = []
+    prepared = theory._prepared
+    monkeypatch.setattr(theory, "_prepared", lambda *a: calls.append(a) or prepared(*a))
+    for extra in ([], ["--r", "2.5"]):
+        code, stdout, _ = run_cli(["feasibility", str(ball_csv), *extra], capsys)
+        assert code == 0 and json.loads(stdout)["interval"]["feasible"]
+        assert len(calls) == 1
+        calls.clear()
+
+
 def test_feasibility_overlapping_clusters(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x0,label\n0,0\n1,1\n0.1,0\n1.1,1\n0.5,0\n0.6,1\n", encoding="utf-8")
     code, stdout, _ = run_cli(["feasibility", str(bad)], capsys)
     assert code == 0
     report = json.loads(stdout)
-    assert not report["separation"]["separated"]
-    assert "interval_error" in report or not report["interval"]["feasible"]
+    assert "interval" not in report
+    assert report["interval_error"] == "no finite bandwidth bound: separation condition fails"
+    assert report["separation"] == {"diameters": [0.5, 0.5000000000000001],
+                                    "max_dia": 0.5000000000000001, "means_distinct": True,
+                                    "min_dist": 0.09999999999999998, "separated": False}
+
+
+@pytest.mark.parametrize("extra", [[], ["--r", "1"], ["--r", "-1"]])
+def test_feasibility_one_cluster_exits_2(tmp_path, capsys, extra):
+    one = tmp_path / "one.csv"
+    one.write_text("x0,label\n0,0\n1,0\n0.5,0\n", encoding="utf-8")
+    code, stdout, err = run_cli(["feasibility", str(one), *extra], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: separation needs at least 2 clusters\n"
+
+
+def test_feasibility_bad_flags_exit_2(ball_csv, capsys):
+    code, stdout, err = run_cli(["feasibility", str(ball_csv), "--r", "-1"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: bandwidth r must be >= 0, got -1.0\n"
+    # argparse reports an unknown flag with the top-level usage line
+    with pytest.raises(SystemExit) as exc:
+        main(["feasibility", str(ball_csv), "--bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: convexcluster [-h] {generate,cluster,path,bench,feasibility} ...\n"
+        "convexcluster: error: unrecognized arguments: --bogus\n")
 
 
 def test_config_file_defaults_and_override(ball_csv, tmp_path, capsys):
@@ -394,6 +430,33 @@ def test_unwritable_output_exits_2(ball_csv, tmp_path, capsys, args):
     code, _, err = run_cli([a.format(data=ball_csv, out=out) for a in args], capsys)
     assert code == 2
     assert err.splitlines()[-1].startswith(f"error: cannot write {out}")
+
+
+def _options(parser):
+    return [(a.option_strings, a.dest, a.default) for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_single_command_parser_matches_full_parser(command):
+    full, single = cli.build_parser(), cli.build_parser(command)
+    sub_full, sub_single = (next(a for a in p._actions if isinstance(a, cli.argparse._SubParsersAction))
+                            for p in (full, single))
+    assert list(sub_single.choices) == [command]
+    mine, theirs = sub_single.choices[command], sub_full.choices[command]
+    assert _options(mine) == _options(theirs)
+    assert mine.format_help() == theirs.format_help()
+    # usage errors print the top-level usage line, which names every command
+    assert single.format_usage() == full.format_usage()
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: convexcluster [-h] {generate,cluster,path,bench,feasibility} ...")
+    for command, (help_text, *_) in cli._COMMANDS.items():
+        assert f"    {command}" in out and help_text in out
 
 
 def test_console_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -195,7 +196,21 @@ def test_searched_report_equals_direct_report():
     keep = labels != 2
     for data, lab in ((A, labels), (A[keep], labels[keep])):
         rep = search_feasible_r(data, lab)
-        assert rep.to_dict() == feasibility_report(data, lab, rep.r).to_dict()
+        direct = feasibility_report(data, lab, rep.r)
+        assert rep.to_dict() == direct.to_dict()
+        for f in fields(rep):
+            mine, theirs = getattr(rep, f.name), getattr(direct, f.name)
+            if isinstance(mine, dict):
+                assert mine.keys() == theirs.keys()
+                assert all(np.array_equal(mine[k], theirs[k]) for k in mine)
+            else:
+                assert np.array_equal(mine, theirs), f.name
+        # the search returns the first feasible r of its grid
+        r, tried = max(rep.r_min * 1.05, 1e-3), 0
+        while r < rep.r:
+            assert not feasibility_report(data, lab, r).feasible
+            r, tried = r * theory._R_GROWTH, tried + 1
+        assert r == rep.r and tried >= 1
 
 
 def test_ball_condition_examples():
