@@ -583,19 +583,21 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        ns, _ = parser.parse_known_args(argv)
-        if ns.config is not None:
-            defaults = _load_config_defaults(ns.config)
+        args, extra = parser.parse_known_args(argv)
+        if args.config is not None:
+            defaults = _load_config_defaults(args.config)
             sub_actions = [a for a in parser._actions
                            if isinstance(a, argparse._SubParsersAction)]
-            subparser = sub_actions[0].choices[ns.command]
+            subparser = sub_actions[0].choices[args.command]
             actions = {a.dest: a for a in subparser._actions}
             unknown = set(defaults) - set(actions)
             if unknown:
                 raise CliError(f"unknown config keys: {sorted(unknown)}")
             subparser.set_defaults(**{key: _config_value(actions[key], raw)
                                       for key, raw in defaults.items()})
-        args = parser.parse_args(argv)
+            args = parser.parse_args(argv)
+        elif extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -104,11 +105,25 @@ def pair_sqdist(A: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     values match it bit for bit; ``np.sum(d**2, axis=1)`` sums pairwise and
     differs in the last bit once there are 8 or more columns.
     """
-    d = A[pairs[:, 0]] - A[pairs[:, 1]]
-    out = d[:, 0] * d[:, 0]
-    for col in d.T[1:]:
-        out += col * col
-    return out
+    # d is C-ordered (n, P), so reducing its outer axis adds the columns one
+    # after another; the second gather is indexed in place, which unlike
+    # take needs no contiguous copy of the strided index column
+    d = np.take(A.T, pairs[:, 0], axis=1)
+    d -= A.T[:, pairs[:, 1]]
+    d *= d
+    return np.add.reduce(d, axis=0)
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
+    """Connected components of the undirected graph on ``size`` nodes with
+    edges (rows[l], cols[l]); ``rows`` must ascend.  Component ids follow the
+    order of each component's lowest node."""
+    if len(rows) == 0:
+        return np.arange(size)
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    graph = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(size, size))
+    return connected_components(graph, directed=False)[1]
 
 
 def _pair_pos(i: int, j: int, m: int) -> int:

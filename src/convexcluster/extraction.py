@@ -6,11 +6,9 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .core import check_data, first_occurrence_ranks, pair_sqdist
+from .core import _components, check_data, first_occurrence_ranks, pair_sqdist
 from .solver import SolverConfig, SolverState, admm_solve
 from .weights import EdgeSet
 
@@ -55,9 +53,17 @@ def _ball_pairs(tree: cKDTree, points, r) -> tuple[np.ndarray, np.ndarray]:
             np.fromiter(chain.from_iterable(near), dtype=np.intp, count=lengths.sum()))
 
 
-def _components(rows, cols, size: int) -> np.ndarray:
-    graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
-    return connected_components(graph, directed=False)[1]
+def _distinct_rows(X) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows of X in lexicographic order, each row's position
+    among them).  Rows equal under ``==`` count as one, so rows that differ
+    only by the sign of a zero do too; ``pdist`` puts them at distance 0."""
+    order = np.lexsort(X.T)
+    rows = np.take(X, order, axis=0)
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    position = np.empty(rows.shape[0], dtype=np.intp)
+    position[order] = np.cumsum(new) - 1
+    return rows[new], position
 
 
 def _touches(X, small, big, big_tree, merge_tol, reach) -> bool:
@@ -85,17 +91,30 @@ def extract_clusters(X, merge_tol: float = 1e-8) -> Assignment:
     tree only proposes candidates, with a relative 1e-9 margin for its own
     rounding.
 
-    Cost: O(m K log m) time to link each row to its K = 8 nearest rows
-    within ``merge_tol``.  Only rows with all K links can have a partner
+    Exactly equal rows are at distance 0, inside every ``merge_tol``, so the
+    search runs on the d distinct rows of X (a lexicographic sort of the m
+    rows finds them) and its labels are mapped back to the rows.  A solve
+    that contracted its rows hands over few distinct rows: 3 of 30 on most
+    of the paper's 30 x 100 Gaussians at the theory's c.
+
+    Cost: O(d K log d) time to link each distinct row to its K = 8 nearest
+    rows within ``merge_tol``.  Only rows with all K links can have a partner
     beyond them; the linked components holding such rows are bounded by
     balls, and each pair of balls that comes within ``merge_tol`` costs one
     distance, or one nearest-row query sized by the smaller component.
-    Memory is O(m K): the pairs inside a fused cluster are never listed, so
-    3 fused clusters of 1000 rows cost about as much as 3000 separate rows.
+    Memory is O(m + d K): the pairs inside a fused cluster are never listed,
+    so 3 fused clusters of 1000 rows cost about as much as 3000 separate rows.
     """
     X = check_data(X)
     if merge_tol < 0:
         raise ValueError(f"merge_tol must be >= 0, got {merge_tol}")
+    X, position = _distinct_rows(X)
+    return canonical_labels(_linked_components(X, merge_tol)[position])
+
+
+def _linked_components(X, merge_tol: float) -> np.ndarray:
+    """Component ids of the rows of X under the ``merge_tol`` threshold
+    graph (see :func:`extract_clusters`)."""
     m = X.shape[0]
     reach = max(_MIN_REACH, merge_tol * (1.0 + _MARGIN))
 
@@ -111,7 +130,7 @@ def extract_clusters(X, merge_tol: float = 1e-8) -> Assignment:
     comp = _components(rows[keep], cols[keep], m)
     crowded = np.flatnonzero(nbr[:, -1] < m)
     if crowded.size == 0:
-        return canonical_labels(comp)
+        return comp
 
     # 2. bound the crowded rows of each component by a ball around the first
     order = crowded[np.argsort(comp[crowded], kind="stable")]
@@ -137,7 +156,7 @@ def extract_clusters(X, merge_tol: float = 1e-8) -> Assignment:
             trees[q] = cKDTree(X[members[q]])
         joined[i] = _touches(X, members[p], members[q], trees[q], merge_tol, reach)
     a, b = group[a[joined]], group[b[joined]]
-    return canonical_labels(_components(a, b, comp.max() + 1)[comp])
+    return _components(a, b, comp.max() + 1)[comp]
 
 
 @dataclass(frozen=True)

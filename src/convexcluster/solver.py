@@ -23,8 +23,11 @@ It is therefore factored once per solve with a symmetric minimum-degree
 ordering and no pivoting.  SuperLU's general-matrix default (COLAMD ordering,
 partial pivoting) roughly doubles the fill on k-NN graphs: on the ball model
 at m = 3000 with k-NN 10 its factor has 235k nonzeros against 117k, and a
-solve with it takes about 1.7 times as long.  The iteration itself works on
-E x n arrays allocated once per solve.
+solve with it takes about 1.7 times as long.  A solve builds two sparse
+matrices: S + nu*L straight from the edge list (s_i + nu * degree_i on the
+diagonal, -nu per edge) and E^T as CSR; E X is two row gathers and a
+difference.  The iteration itself works on E x n arrays allocated once per
+solve.
 
 Before factoring, the solve builds one reduced problem from two exact
 reductions, and the loop runs only on that problem.
@@ -70,7 +73,10 @@ it.  ``lift`` copies each super-node's row to its members, a merged edge's Z
 to its parallel edges (with their orientation), and splits its Lam among
 them by w_l / W_e.  Every other input edge gets Z = X_i - X_j and Lam = 0:
 that difference is exactly 0 on a contracted edge, and on a screened edge it
-is the difference of the returned X.
+is the difference of the returned X.  The maps are index arrays (each row's
+super-node, each parallel edge's merged edge, sign and share), applied as
+row gathers and scatters that add in the order a product with the matching
+sparse matrix adds, so the maps build no sparse matrix.
 """
 
 from __future__ import annotations
@@ -79,10 +85,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .core import _incidence, check_data
+from .core import _components, _incidence, check_data
 from .weights import EdgeSet
 
 PAPER = "paper"
@@ -133,6 +138,13 @@ class SolverConfig:
 class SolverState:
     """Iterates and convergence record of one ADMM run.
 
+    ``Lam`` is the unscaled multiplier of Z = E X in the half form the loop
+    iterates, signed so that stationarity in X reads X = A + E^T Lam at a
+    converged state (per row where nothing is contracted, and summed over
+    each super-node where rows are).  The dual Y of the paper-form problem,
+    max over |Y_l| <= c * w_l of <Y, E A> - ||E^T Y||^2 / (4a), recovers
+    X = A - E^T Y / (2a), so E^T Lam = -E^T Y / (2a): Lam has the opposite
+    sign of Y.
     ``screened`` counts the edges dropped before the solve (see the module
     docstring); their rows of Z are the differences of X and of Lam zero.
     ``contracted`` counts the rows the contraction rule folded into another
@@ -169,16 +181,33 @@ def objective(A, X, edges: EdgeSet, c: float, convention: str = PAPER) -> float:
 
 
 def _factor(edges: EdgeSet, nu: float, fidelity: np.ndarray):
-    """E, E^T as CSR, and the symmetric-mode LU factor of S + nu * E^T E
-    (minimum-degree ordering, diagonal pivots; see the module docstring),
-    with S the diagonal of ``fidelity``."""
-    Einc = incidence(edges)
-    EincT = Einc.T.tocsr()
-    lap = (EincT @ Einc).tocsc()
-    lu = splu((sp.diags(fidelity, format="csc") + nu * lap).tocsc(),
-              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
-    return Einc, EincT, lu
+    """The symmetric-mode LU factor of S + nu * E^T E (minimum-degree
+    ordering, diagonal pivots; see the module docstring), with S the diagonal
+    of ``fidelity``.  The matrix is built in one step from the edges, which
+    are unique: s_i + nu * degree_i on the diagonal and -nu at both mirror
+    entries of each edge."""
+    G, (i, j) = edges.m, edges.pairs.T
+    nodes = np.arange(G)
+    rows, cols = np.concatenate([nodes, i, j]), np.concatenate([nodes, j, i])
+    values = np.concatenate([fidelity + nu * np.bincount(edges.pairs.ravel(), minlength=G),
+                             np.full(2 * edges.n_edges, -nu)])
+    order = np.argsort(cols * G + rows)  # CSC: by column, then by row
+    indptr = np.zeros(G + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=G), out=indptr[1:])
+    return splu(sp.csc_matrix((values[order], rows[order], indptr), shape=(G, G)),
+                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+def _incidence_transpose(edges: EdgeSet) -> sp.csr_matrix:
+    """E^T as CSR: row i lists the edges at node i in ascending order, with
+    +1 where i is the edge's first node and -1 where it is its second."""
+    ends = edges.pairs.ravel()  # edge l's nodes sit at 2l and 2l + 1
+    order = np.argsort(ends, kind="stable")
+    indptr = np.zeros(edges.m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=edges.m), out=indptr[1:])
+    return sp.csr_matrix((1.0 - 2.0 * (order & 1), order >> 1, indptr),
+                         shape=(edges.m, edges.n_edges))
 
 
 def _screen(A, edges: EdgeSet, c_half: float) -> np.ndarray:
@@ -206,39 +235,79 @@ def _merge(pairs: np.ndarray, weights: np.ndarray, label: np.ndarray, G: int):
     return np.column_stack([key // G, key % G]), merged, leaves, row, gi < gj
 
 
+def _sum_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """(size, n) sums: row g adds, from 0.0 and in ascending i, each rows[i]
+    with index[i] == g."""
+    n = rows.shape[1]
+    out = np.zeros(size * n)
+    np.add.at(out, (index.astype(np.intp)[:, None] * n + np.arange(n)).ravel(), rows.reshape(-1))
+    return out.reshape(size, n)
+
+
+def _scaled_rows(V, index: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """factor[k] * V[index[k]] for each k."""
+    out = np.take(V, index, axis=0)
+    out *= factor[:, None]
+    return out
+
+
 @dataclass
 class _Reduction:
     """The reduced problem of :func:`_reduce` and its maps to the input.
 
     Input row i belongs to super-node ``label[i]`` of ``size`` rows;
-    ``edges`` are the merged edges between super-nodes.  ``members`` (G x m)
-    sums the rows of each super-node.  ``copy`` (merged x input edges) holds
-    +-1 where an input edge is a kept parallel copy of a merged edge, with the
-    sign of its orientation, and ``share`` the same entries times w_l / W_e;
-    a screened or contracted edge has no entry in either.  ``free`` lists
-    those edges, and ``pairs`` are all input edges.
+    ``edges`` are the merged edges between super-nodes.  ``parallel`` lists,
+    in ascending order, the kept input edges that join two super-nodes:
+    input edge ``parallel[k]`` is a parallel copy of merged edge
+    ``merged[k]``, ``sign[k]`` is +1 where it has the merged edge's
+    orientation and -1 where it has the reverse, and ``share[k]`` is
+    sign[k] * w_l / W_e.  ``free`` lists the other input edges, screened or
+    contracted, and ``pairs`` are all input edges.
+
+    With the G x m matrix of ones at (label[i], i), and the merged x input
+    edges matrices ``copy`` (entries ``sign``) and ``share`` (entries
+    ``share``) at (merged[k], parallel[k]), the maps below are the products
+    with those matrices, summed in the same order, without building them.
     """
 
     label: np.ndarray
     size: np.ndarray
     edges: EdgeSet
-    members: sp.csr_matrix
-    copy: sp.csr_matrix
-    share: sp.csr_matrix
+    parallel: np.ndarray
+    merged: np.ndarray
+    sign: np.ndarray
+    share: np.ndarray
     free: np.ndarray
     pairs: np.ndarray
+
+    def sums(self, X):
+        """The sum of each super-node's rows of X."""
+        return _sum_rows(self.label, X, self.size.size)
 
     def restrict(self, X, Z, U):
         """A warm start on the input rows and edges, mapped onto the super-nodes:
         group means of X, weighted means of Z and sums of U over parallel edges."""
-        return (self.members @ X) / self.size[:, None], self.share @ Z, self.copy @ U
+        E = self.edges.n_edges
+        return (self.sums(X) / self.size[:, None],
+                _sum_rows(self.merged, _scaled_rows(Z, self.parallel, self.share), E),
+                _sum_rows(self.merged, _scaled_rows(U, self.parallel, self.sign), E))
 
     def lift(self, X, Z, Lam):
         """A reduced state on every input row and edge (see the module docstring)."""
-        X = X[self.label]
-        Z_in = self.copy.T @ Z
+        X = np.take(X, self.label, axis=0)
+        Z_in = self._spread(Z, self.sign)
         Z_in[self.free] = _differences(X, self.pairs[self.free])
-        return X, Z_in, self.share.T @ Lam
+        return X, Z_in, self._spread(Lam, self.share)
+
+    def _spread(self, V, factor):
+        """factor[k] * V[merged[k]] on input edge parallel[k] and zeros on
+        the free edges: the transposed products of the class docstring, whose
+        sums have at most one term."""
+        rows = _scaled_rows(V, self.merged, factor)
+        rows += 0.0  # a sum from 0.0 is never -0.0
+        out = np.zeros((self.pairs.shape[0], V.shape[1]))
+        out[self.parallel] = rows
+        return out
 
 
 def _reduce(A, edges: EdgeSet, keep: np.ndarray, c_half: float) -> _Reduction:
@@ -262,28 +331,27 @@ def _reduce(A, edges: EdgeSet, keep: np.ndarray, c_half: float) -> _Reduction:
         fire = (pull > bound[pairs[:, 0]]) | (pull > bound[pairs[:, 1]])
         if not fire.any():
             break
-        G, comp = connected_components(
-            sp.csr_matrix((np.ones(int(fire.sum())), (pairs[fire, 0], pairs[fire, 1])),
-                          shape=(G, G)), directed=False)
+        # the pairs ascend in their first node, as _components needs
+        comp = _components(pairs[fire, 0], pairs[fire, 1], G)
+        G = int(comp.max()) + 1
         label, size = comp[label], np.bincount(comp, size, G)
         pairs, weights = _merge(pairs, weights, comp, G)[:2]
     G = size.size
-    pairs, weights, leaves, row, forward = _merge(kept_pairs, kept_weights, label, G)
-    cols = kept[leaves]
+    pairs, weights, leaves, merged, forward = _merge(kept_pairs, kept_weights, label, G)
+    parallel = kept[leaves]
     free = ~keep  # screened, then contracted: both ends in one super-node
     free[kept[~leaves]] = True
     sign = np.where(forward, 1.0, -1.0)
-    shape = (weights.size, edges.n_edges)
     return _Reduction(
-        label=label, size=size, edges=EdgeSet(G, pairs, weights),
-        members=sp.csr_matrix((np.ones(m), (label, np.arange(m))), shape=(G, m)),
-        copy=sp.csr_matrix((sign, (row, cols)), shape=shape),
-        share=sp.csr_matrix((sign * edges.weights[cols] / weights[row], (row, cols)), shape=shape),
+        label=label, size=size, edges=EdgeSet(G, pairs, weights), parallel=parallel,
+        merged=merged, sign=sign, share=sign * edges.weights[parallel] / weights[merged],
         free=np.flatnonzero(free), pairs=edges.pairs)
 
 
 def _differences(X, pairs: np.ndarray) -> np.ndarray:
-    return X[pairs[:, 0]] - X[pairs[:, 1]]
+    out = np.take(X, pairs[:, 0], axis=0)
+    out -= np.take(X, pairs[:, 1], axis=0)
+    return out
 
 
 def _unpenalized(A, edges: EdgeSet, screened: int) -> SolverState:
@@ -328,12 +396,14 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
         return _unpenalized(A, edges, screened=E)
     red = _reduce(A, edges, keep, c_half)
     G, E = red.edges.m, red.edges.n_edges
-    target = red.members @ A
+    target = red.sums(A)
     # the stop measures the lifted change, ||sqrt(s) * dX||_F
     root = np.sqrt(red.size)[:, None]
 
     nu = cfg.nu
-    Einc, EincT, lu = _factor(red.edges, nu, red.size)
+    lu = _factor(red.edges, nu, red.size)
+    EincT = _incidence_transpose(red.edges)
+    first, second = (np.ascontiguousarray(ends) for ends in red.edges.pairs.T)
     # soft_threshold(W, t) = W - clip(W, -t, t), with t spread to E x n once
     hi = np.ascontiguousarray(np.broadcast_to((c_half / nu) * red.edges.weights[:, None], (E, n)))
     lo = -hi
@@ -348,7 +418,8 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
         Z = np.zeros((E, n))
         U = np.zeros((E, n))
     # Z and U are fresh arrays owned by this call, so the loop updates them in
-    # place; W is the one E x n work buffer.
+    # place; D holds E X and W is the one E x n work buffer.
+    D = np.empty((E, n))
     W = np.empty((E, n))
 
     history = np.empty(cfg.max_iter)
@@ -361,7 +432,11 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
         R *= nu
         R += target
         X_new = lu.solve(R)
-        D = Einc @ X_new
+        # D = E X_new, with W free until it takes D - U; mode="clip" writes
+        # straight into out (the indices are in range)
+        np.take(X_new, first, axis=0, out=D, mode="clip")
+        np.take(X_new, second, axis=0, out=W, mode="clip")
+        D -= W
         np.subtract(D, U, out=W)
         np.clip(W, lo, hi, out=Z)
         np.subtract(W, Z, out=Z)
@@ -377,7 +452,7 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
 
     # free the factor and the loop's E x n buffers before lift allocates the
     # input-edge arrays
-    del lu, Einc, EincT, W, hi, lo
+    del lu, EincT, D, W, hi, lo
     X, Z, Lam = red.lift(X, Z, nu * U)
     return SolverState(X=X, Z=Z, Lam=Lam, iters=it, final_change=change,
                        converged=converged, history=history[:it].copy(), screened=screened,

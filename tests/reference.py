@@ -11,8 +11,10 @@ linkage clustering updates one upper-triangle entry at a time.  The ADMM
 reference iterates the unscaled multiplier Lam with the sign-form
 soft-threshold, against the package's scaled-dual loop; it shares only the
 factor of S + nu*L and the super-node reduction with the package, so both
-loops run on the same factor of the same problem.  That factor in turn has a
-reference: SuperLU's general-matrix default.
+loops run on the same factor of the same problem, and it forms E X and
+E^T W as products with its own incidence matrix.  That factor in turn has a
+reference: SuperLU's general-matrix default, on S + nu * E^T E formed from
+incidence products.
 """
 
 from __future__ import annotations
@@ -145,12 +147,11 @@ def soft_threshold_sign(v, t):
 
 
 def general_factor(edges, nu: float, fidelity):
-    """``solver._factor`` as for a general matrix: SuperLU's default COLAMD
-    ordering with partial pivoting."""
+    """``solver._factor`` as for a general matrix built from incidence
+    products: SuperLU's default COLAMD ordering with partial pivoting."""
     Einc = incidence(edges)
-    EincT = Einc.T.tocsr()
-    lap = (EincT @ Einc).tocsc()
-    return Einc, EincT, splu((sp.diags(fidelity, format="csc") + nu * lap).tocsc())
+    lap = (Einc.T @ Einc).tocsc()
+    return splu((sp.diags(fidelity, format="csc") + nu * lap).tocsc())
 
 
 def augmented_lagrangian(A, X, Z, Lam, edges, c: float, nu: float,
@@ -194,8 +195,10 @@ def admm_unscaled(A, edges, cfg: SolverConfig, init: SolverState | None = None) 
                            final_change=0.0, converged=True, history=np.zeros(1))
 
     red = _reduce(A, edges, np.ones(E, dtype=bool), c_half)
-    target, root = red.members @ A, np.sqrt(red.size)[:, None]
-    Einc, EincT, lu = _factor(red.edges, cfg.nu, red.size)
+    target, root = red.sums(A), np.sqrt(red.size)[:, None]
+    lu = _factor(red.edges, cfg.nu, red.size)
+    Einc = incidence(red.edges)
+    EincT = Einc.T.tocsr()
     thresh = (c_half / cfg.nu) * red.edges.weights[:, None]
 
     if init is not None:

@@ -475,3 +475,26 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_main_parses_argv_once(ball_csv, capsys, monkeypatch):
+    # without --config, the first parse is the only one: each parser (the
+    # top level and its subcommand) runs once, and leftovers are reported
+    # as parse_args reports them
+    parsed = []
+    real = cli.argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", counting)
+    code, _, _ = run_cli(["feasibility", str(ball_csv)], capsys)
+    assert code == 0
+    assert sorted(parsed) == ["convexcluster", "convexcluster feasibility"]
+    parsed.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", str(ball_csv), "--c", "1", "--bogus", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("convexcluster: error: unrecognized arguments: --bogus x\n")
+    assert sorted(parsed) == ["convexcluster", "convexcluster cluster"]

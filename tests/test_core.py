@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial.distance import pdist
 
 from convexcluster.core import (
     all_pairs,
@@ -12,6 +14,7 @@ from convexcluster.core import (
     index_sets,
     pair_from_row_index,
     pair_row_index,
+    pair_sqdist,
 )
 
 
@@ -150,3 +153,33 @@ def test_index_sets_partition_property(m):
                 assert not (merged & v)
                 merged |= v
             assert merged == sets.between
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33, 100])
+def test_pair_sqdist_matches_pdist_bit_for_bit(n):
+    # pdist adds the columns one after another; a pairwise sum differs in
+    # the last bit from 8 columns on
+    gen = np.random.default_rng(n)
+    A = gen.normal(size=(25, n)) * 10.0 ** gen.uniform(-3, 3, size=n)
+    pairs = all_pairs(25)
+    assert np.array_equal(pair_sqdist(A, pairs), pdist(A, "sqeuclidean"))
+    # any pair order, either orientation, and a Fortran-ordered matrix
+    some = gen.permutation(pairs)[:40][:, ::-1]
+    expected = pdist(A, "sqeuclidean")[[pairs.tolist().index(sorted(p)) for p in some.tolist()]]
+    assert np.array_equal(pair_sqdist(np.asfortranarray(A), some), expected)
+    assert pair_sqdist(A, pairs[:0]).shape == (0,)
+
+
+def test_pair_sqdist_holds_at_most_two_gathers():
+    # the k-NN build calls it on ~11 candidate pairs per row; beyond the two
+    # P x n gathers it keeps no copy of the strided index columns
+    gen = np.random.default_rng(5)
+    A = gen.normal(size=(3000, 2))
+    pairs = np.column_stack([gen.integers(0, 3000, 30000), gen.integers(0, 3000, 30000)])
+    tracemalloc.start()
+    try:
+        pair_sqdist(A, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * pairs.size * 8, peak

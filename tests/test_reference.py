@@ -174,6 +174,27 @@ def test_extraction_exact_duplicates_at_zero_and_subnormal_tolerance():
         _assert_extraction_matches(tiny, tol)
 
 
+def test_extraction_on_exact_duplicates_matches_reference():
+    # the search runs on the distinct rows; rows that differ only by the
+    # sign of a zero are one distinct row, and pdist puts them at distance 0
+    gen = np.random.default_rng(18)
+    base = gen.normal(size=(9, 4))
+    base[1] = base[0] + 1e-9  # a near pair, apart at merge_tol 0
+    base[2] = [0.0, 1.0, -0.0, 2.0]
+    base[3] = [-0.0, 1.0, 0.0, 2.0]
+    base[4] = [-0.0, -0.0, -0.0, -0.0]
+    base[5] = 0.0
+    X = np.repeat(base, gen.integers(1, 40, size=9), axis=0)
+    X = X[gen.permutation(X.shape[0])]
+    d01 = pdist(base[:2])[0]
+    for tol in (0.0, 1e-200, np.nextafter(d01, 0.0), d01, 1e-3, 1.0):
+        got = _assert_extraction_matches(X, tol)
+        for i, j in ((2, 3), (4, 5)):
+            assert len(set(got[np.all(X == base[i], axis=1) | np.all(X == base[j], axis=1)])) == 1
+    assert extract_clusters(X, 0.0).k == 7
+    assert extract_clusters(X, d01).k == 6
+
+
 def test_extraction_memory_does_not_grow_with_fused_pairs():
     # 3 x 1000 near-equal rows hold 1.5 million fused pairs; a pass that
     # lists them peaks at about 80 MB
@@ -296,7 +317,7 @@ def test_symmetric_factor_matches_general_factor(case, monkeypatch):
     M = sp.identity(edges.m) + cfg.nu * (E.T @ E)
     B = np.random.default_rng(24).normal(size=A.shape)
     for factor in (solver._factor, general_factor):
-        lu = factor(edges, cfg.nu, np.ones(edges.m))[2]
+        lu = factor(edges, cfg.nu, np.ones(edges.m))
         assert np.abs(M @ lu.solve(B) - B).max() <= 1e-13 * np.abs(B).max(), factor.__name__
 
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from convexcluster import extraction
+from convexcluster import core, extraction, solver
 from convexcluster.datagen import paper_gaussians
 from convexcluster.solver import (
     HALF,
     PAPER,
     SolverConfig,
+    SolverState,
     admm_solve,
     incidence,
     kkt_residual,
@@ -431,3 +433,133 @@ def test_contracted_paper_gaussian_matches_capped_reference_minimizer():
     assert gap <= 1e-6 * f_ref
     assert abs(f - f_ref) / max(1.0, abs(f_ref)) <= 1e-6
     assert kkt_residual(A, state.X, edges, c, fuse_tol=1e-7) <= 1e-5
+
+
+@pytest.mark.parametrize("convention", [PAPER, HALF])
+def test_lam_is_the_negated_oracle_dual_under_e_transpose(convention):
+    # at a converged state X = A + E^T Lam; the oracle recovers its primal
+    # as X = A - E^T Y / (2a), so its X - A is -E^T Y / (2a)
+    gen = np.random.default_rng(41)
+    A = gen.normal(size=(7, 2))
+    edges = gaussian_edges(A, 0.4, "full")
+    state = admm_solve(A, edges, tight(0.6, convention))
+    assert state.converged and state.screened == state.contracted == 0
+    X_ref, _, gap = reference_minimizer(A, edges, 0.6, convention)
+    assert gap <= 1e-9
+    image = incidence(edges).T @ state.Lam
+    assert np.abs(image - (state.X - A)).max() <= 1e-9
+    assert np.abs(image - (X_ref - A)).max() <= 1e-6
+    assert np.abs(image + (X_ref - A)).max() > 0.1  # the other sign is far off
+
+
+def _screened_contracted_input():
+    # the far groups (cross edges screened at r = 0.3) beside the cascade with
+    # its rows reordered a, d1, b, c, d2, d3: at c_half = 1.5 {a, b, c}
+    # contracts and meets d1 over (a, d1), which keeps the merged edge's
+    # orientation, and (d1, c), which reverses it
+    A1, e1, _ = _two_far_groups(r=0.3)
+    A2, e2 = _cascade()
+    new = np.array([0, 2, 3, 1, 4, 5])  # new position of each cascade row
+    A = np.vstack([A1, A2[np.argsort(new)]])
+    ends = np.sort(new[e2.pairs], axis=1)
+    edges = EdgeSet(12, np.vstack([e1.pairs, ends + 6]), np.concatenate([e1.weights, e2.weights]))
+    return A, edges, 1.5
+
+
+def test_restrict_and_lift_are_the_documented_matrix_products():
+    A, edges, c_half = _screened_contracted_input()
+    keep = solver._screen(A, edges, c_half)
+    red = solver._reduce(A, edges, keep, c_half)
+    m, G, n = edges.m, red.edges.m, A.shape[1]
+    label = red.label
+    # the matrices of the _Reduction docstring, from the labels and the
+    # merged edges alone
+    members = sp.csr_matrix((np.ones(m), (label, np.arange(m))), shape=(G, m))
+    merged_row = {tuple(p): e for e, p in enumerate(red.edges.pairs.tolist())}
+    rows, cols, signs, shares = [], [], [], []
+    for l, (i, j) in enumerate(edges.pairs.tolist()):
+        gi, gj = int(label[i]), int(label[j])
+        if keep[l] and gi != gj:
+            e = merged_row[(min(gi, gj), max(gi, gj))]
+            sign = 1.0 if gi < gj else -1.0
+            rows.append(e)
+            cols.append(l)
+            signs.append(sign)
+            shares.append(sign * edges.weights[l] / red.edges.weights[e])
+    shape = (red.edges.n_edges, edges.n_edges)
+    copy = sp.csr_matrix((signs, (rows, cols)), shape=shape)
+    share = sp.csr_matrix((shares, (rows, cols)), shape=shape)
+    free = [l for l in range(edges.n_edges) if l not in cols]
+    assert (edges.n_edges - keep.sum(), m - G) == (9, 2)
+    assert sorted(signs) == [-1.0] + [1.0] * (len(signs) - 1)  # one reversed copy
+    assert len(rows) > len(set(rows))  # parallel copies
+
+    def same(got, want):
+        want = np.asarray(want)
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    assert same(red.sums(A), members @ A)
+    warm = admm_solve(A, edges, tight(1.0, HALF))  # a state on the input rows and edges
+    U = warm.Lam / 0.7
+    X_r, Z_r, U_r = red.restrict(warm.X, warm.Z, U)
+    assert same(X_r, (members @ warm.X) / red.size[:, None])
+    assert same(Z_r, share @ warm.Z)
+    assert same(U_r, copy @ U)
+
+    gen = np.random.default_rng(42)
+    X, Z, Lam = (gen.normal(size=(k, n)) for k in (G, red.edges.n_edges, red.edges.n_edges))
+    # the reversed copy turns these zeros into -0.0 before the sum from 0.0
+    reversed_edge = rows[signs.index(-1.0)]
+    Z[reversed_edge, 0] = Lam[reversed_edge, 1] = 0.0
+    X_l, Z_l, Lam_l = red.lift(X, Z, Lam)
+    Z_want = copy.T @ Z
+    Z_want[free] = X[label[edges.pairs[free, 0]]] - X[label[edges.pairs[free, 1]]]
+    assert same(X_l, X[label])
+    assert same(Z_l, Z_want)
+    assert same(Lam_l, share.T @ Lam)
+
+
+class _CountingSparse:
+    """``scipy.sparse`` that records each sparse matrix a call through it
+    returns."""
+
+    def __init__(self, built):
+        self._built = built
+
+    def __getattr__(self, name):
+        attr = getattr(sp, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            if sp.issparse(out):
+                self._built.append(name)
+            return out
+        return call
+
+
+def test_one_solve_builds_one_system_matrix_and_one_transpose(monkeypatch):
+    # set-up cost: one graph per contraction round, S + nu*L and E^T; the
+    # maps between the problems are index arrays
+    A, labels, r = paper_gaussians(1.0, seed=0)
+    feas = c_interval_k(A, labels, r)
+    c = float(np.sqrt(max(feas.kappa_lower, feas.kappa_upper * 1e-6) * feas.kappa_upper))
+    edges = gaussian_edges(A, r, "full")
+    built = []
+    monkeypatch.setattr(solver, "sp", _CountingSparse(built))
+    monkeypatch.setattr(core, "sp", _CountingSparse(built))
+    rounds = []
+    real = core._components
+
+    def counted(rows, cols, size):
+        rounds.append(size)
+        return real(rows, cols, size)
+
+    monkeypatch.setattr(solver, "_components", counted)
+    state = admm_solve(A, edges, SolverConfig(c=c, tol=1e-6, max_iter=50000))
+    assert state.contracted == 27 and len(rounds) == 2
+    assert built == ["csr_matrix", "csr_matrix", "csc_matrix", "csr_matrix"]
+    built.clear()
+    admm_solve(A, edges, SolverConfig(c=c, tol=1e-6, max_iter=50000), init=state)
+    assert built == ["csr_matrix", "csr_matrix", "csc_matrix", "csr_matrix"]
