@@ -34,7 +34,6 @@ from .metrics import (
     cluster_geometry,
     exact_clustering_check,
     rand_index,
-    zhu_condition,
 )
 from .theory import (
     BallCheck,

@@ -21,9 +21,10 @@ class KMeansResult:
 
 
 def _assign(A, centers):
+    """Each row's nearest center (ties go to the lowest index) and its squared distance."""
     d2 = cdist(A, centers, metric="sqeuclidean")
-    labels = np.argmin(d2, axis=1)  # ties go to the lowest center index
-    return labels, d2
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(A.shape[0]), labels]
 
 
 def lloyd(A, k: int, init_centers=None, max_iter: int = 300, seed: int = 0) -> KMeansResult:
@@ -32,7 +33,8 @@ def lloyd(A, k: int, init_centers=None, max_iter: int = 300, seed: int = 0) -> K
     Initial centers are either supplied or drawn uniformly without
     replacement from the rows.  A cluster that empties is reseeded to the
     point currently farthest from its assigned center, which keeps the run
-    deterministic.  Stops when assignments stabilize.
+    deterministic; a center left with no rows after k passes keeps its place.
+    Stops when assignments stabilize.
     """
     A = check_data(A)
     m = A.shape[0]
@@ -49,27 +51,29 @@ def lloyd(A, k: int, init_centers=None, max_iter: int = 300, seed: int = 0) -> K
     history = []
     it = 0
     for it in range(1, max_iter + 1):
-        new_labels, d2 = _assign(A, centers)
-        assigned = d2[np.arange(m), new_labels]
-        # repair empty clusters before accepting the assignment
-        for cid in range(k):
-            if not np.any(new_labels == cid):
-                far = int(np.argmax(assigned))
-                centers[cid] = A[far]
-                new_labels, d2 = _assign(A, centers)
-                assigned = d2[np.arange(m), new_labels]
+        new_labels, assigned = _assign(A, centers)
+        # repair empty clusters before accepting the assignment; a reseed can
+        # empty a cluster already passed, so passes repeat, at most k of them
+        counts = np.bincount(new_labels, minlength=k)
+        for _ in range(k):
+            if counts.all():
+                break
+            for cid in range(k):
+                if counts[cid] == 0:
+                    centers[cid] = A[int(np.argmax(assigned))]
+                    new_labels, assigned = _assign(A, centers)
+                    counts = np.bincount(new_labels, minlength=k)
         history.append(float(assigned.sum()))
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-        for cid in range(k):
+        for cid in np.flatnonzero(counts):  # a center left without rows stays put
             centers[cid] = A[labels == cid].mean(axis=0)
 
-    labels, d2 = _assign(A, centers)
-    inertia = float(d2[np.arange(m), labels].sum())
+    labels, assigned = _assign(A, centers)
     return KMeansResult(centers=centers, labels=labels, iterations=it,
-                        inertia=inertia, inertia_history=np.array(history))
+                        inertia=float(assigned.sum()), inertia_history=np.array(history))
 
 
 def kmeanspp_init(A, k: int, seed: int = 0) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared data model: column centering, the complete-graph difference operator,
-and linearized pair-index bookkeeping.
+linearized pair-index bookkeeping, and the k-d tree candidate rule that the
+k-NN graph and cluster extraction share.
 
 Conventions
 -----------
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,6 +116,19 @@ def pair_sqdist(A: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return np.add.reduce(d, axis=0)
 
 
+_TREE_MARGIN = 1e-9  # relative widening of a k-d tree search for the tree's rounding
+
+
+def _ball_pairs(tree, points, r) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every row j of the k-d tree ``tree`` within ``r`` of
+    ``points[i]``, r widened by ``_TREE_MARGIN``: candidates for exact
+    distances to confirm.  i ascends; the j of one i come in no set order."""
+    near = tree.query_ball_point(points, r * (1.0 + _TREE_MARGIN), return_sorted=False)
+    lengths = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    return (np.repeat(np.arange(len(near)), lengths),
+            np.fromiter(chain.from_iterable(near), dtype=np.intp, count=lengths.sum()))
+
+
 def _components(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
     """Connected components of the undirected graph on ``size`` nodes with
     edges (rows[l], cols[l]); ``rows`` must ascend.  Component ids follow the
@@ -126,40 +141,27 @@ def _components(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
     return connected_components(graph, directed=False)[1]
 
 
-def _pair_pos(i: int, j: int, m: int) -> int:
-    """0-based row position of pair (i, j) (0-based, i < j) in the operator."""
-    if not (0 <= i < j < m):
-        raise ValueError(f"need 0 <= i < j < m, got i={i}, j={j}, m={m}")
-    return i * (2 * m - i - 1) // 2 + (j - i - 1)
-
-
-def _pos_pair(p: int, m: int) -> tuple[int, int]:
-    """Inverse of :func:`_pair_pos`."""
-    total = m * (m - 1) // 2
-    if not (0 <= p < total):
-        raise ValueError(f"pair position {p} out of range for m={m}")
-    # Solve i*(2m - i - 1)/2 <= p by the quadratic formula, then adjust.
-    disc = (2 * m - 1) ** 2 - 8 * p
-    i = (2 * m - 1 - math.isqrt(disc)) // 2
-    while i * (2 * m - i - 1) // 2 > p:
-        i -= 1
-    while (i + 1) * (2 * m - i - 2) // 2 <= p:
-        i += 1
-    j = p - i * (2 * m - i - 1) // 2 + i + 1
-    return i, j
-
-
 def pair_row_index(i: int, j: int, m: int) -> int:
     """1-based linear index of the 1-based pair (i, j), i < j <= m."""
     if not (1 <= i < j <= m):
         raise ValueError(f"need 1 <= i < j <= m, got i={i}, j={j}, m={m}")
-    return _pair_pos(i - 1, j - 1, m) + 1
+    return (i - 1) * (2 * m - i) // 2 + (j - i)
 
 
 def pair_from_row_index(p: int, m: int) -> tuple[int, int]:
     """Inverse of :func:`pair_row_index` (1-based on both sides)."""
-    i, j = _pos_pair(p - 1, m)
-    return i + 1, j + 1
+    total = m * (m - 1) // 2
+    if not (1 <= p <= total):
+        raise ValueError(f"need 1 <= p <= m(m-1)/2 = {total}, got p={p}, m={m}")
+    # solve q = i(2m - i - 1)/2 + (j - i - 1), 0-based, for i, then round
+    q = p - 1
+    disc = (2 * m - 1) ** 2 - 8 * q
+    i = (2 * m - 1 - math.isqrt(disc)) // 2
+    while i * (2 * m - i - 1) // 2 > q:
+        i -= 1
+    while (i + 1) * (2 * m - i - 2) // 2 <= q:
+        i += 1
+    return i + 1, q - i * (2 * m - i - 1) // 2 + i + 2
 
 
 def first_occurrence_ranks(labels) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RNG_ALGORITHM, check_data, rng, _check_covariance
+from .core import RNG_ALGORITHM, _check_covariance, check_data, first_occurrence_ranks, rng
 
 __all__ = [
     "RNG_ALGORITHM", "BallModelSpec", "GmmSpec", "stochastic_ball",
@@ -236,10 +236,8 @@ def load_csv(path, label_column: str | int | None = None):
     if label_idx is not None:
         try:
             out_labels = np.array([int(float(s)) for s in labels], dtype=np.int64)
-        except ValueError:
-            # map arbitrary label strings to dense integer ids
-            seen: dict[str, int] = {}
-            out_labels = np.array([seen.setdefault(s, len(seen)) for s in labels], dtype=np.int64)
+        except ValueError:  # label strings: dense ids by first occurrence
+            out_labels = first_occurrence_ranks(labels)
     feat_header = None
     if header is not None:
         feat_header = [h for ci, h in enumerate(header) if ci != label_idx]

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import _components, check_data, first_occurrence_ranks, pair_sqdist
+from .core import (_TREE_MARGIN, _ball_pairs, _components, check_data, first_occurrence_ranks,
+                   pair_sqdist)
 from .solver import SolverConfig, SolverState, admm_solve
 from .weights import EdgeSet
 
@@ -31,8 +31,6 @@ def canonical_labels(raw) -> Assignment:
 # beyond them are reached by joining the linked components, so no pass lists
 # the O(s^2) pairs inside a cluster of s rows.
 _NEIGHBOURS = 8
-# Relative margin for the k-d tree's own rounding of distances.
-_MARGIN = 1e-9
 # The tree compares squared distances with the squared bound, and tol**2
 # underflows below about 1.5e-154; this floor keeps the bound a normal float.
 _MIN_REACH = 1e-150
@@ -43,14 +41,6 @@ _MAX_BISECT = 40
 def _dist(X, rows, cols) -> np.ndarray:
     """The ``pdist`` distance between rows ``rows[i]`` and ``cols[i]`` of X."""
     return np.sqrt(pair_sqdist(X, np.column_stack([rows, cols])))
-
-
-def _ball_pairs(tree: cKDTree, points, r) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) for every tree row j within ``r`` of ``points[i]``."""
-    near = tree.query_ball_point(points, r)
-    lengths = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-    return (np.repeat(np.arange(len(near)), lengths),
-            np.fromiter(chain.from_iterable(near), dtype=np.intp, count=lengths.sum()))
 
 
 def _distinct_rows(X) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +106,7 @@ def _linked_components(X, merge_tol: float) -> np.ndarray:
     """Component ids of the rows of X under the ``merge_tol`` threshold
     graph (see :func:`extract_clusters`)."""
     m = X.shape[0]
-    reach = max(_MIN_REACH, merge_tol * (1.0 + _MARGIN))
+    reach = max(_MIN_REACH, merge_tol * (1.0 + _TREE_MARGIN))
 
     # 1. link each row to its nearest rows within merge_tol.  A row with a
     # free slot left has every row within the reach listed, so an unlisted
@@ -138,11 +128,11 @@ def _linked_components(X, merge_tol: float) -> np.ndarray:
     rep = order[starts]
     radius = np.maximum.reduceat(_dist(X, np.repeat(rep, sizes), order), starts)
     # a pair of groups is listed from the one with the larger radius
-    a, b = _ball_pairs(cKDTree(X[rep]), X[rep], 2.0 * radius * (1.0 + _MARGIN) + reach)
+    a, b = _ball_pairs(cKDTree(X[rep]), X[rep], 2.0 * radius + reach)
     keep = (radius[b] < radius[a]) | ((radius[b] == radius[a]) & (b < a))
     a, b = a[keep], b[keep]
     gap = _dist(X, rep[a], rep[b])
-    keep = gap <= (radius[a] + radius[b]) * (1.0 + _MARGIN) + reach
+    keep = gap <= (radius[a] + radius[b]) * (1.0 + _TREE_MARGIN) + reach
     a, b, gap = a[keep], b[keep], gap[keep]
 
     # 3. join the pairs whose first rows are within merge_tol, and decide the

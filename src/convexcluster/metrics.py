@@ -102,24 +102,3 @@ def exact_clustering_check(X, truth, merge_tol: float = 1e-8) -> ExactClustering
     if bad.size == 0:
         return ExactClusteringResult(ok=True, violation=None)
     return ExactClusteringResult(ok=False, violation=(int(ii[bad[0]]), int(jj[bad[0]])))
-
-
-def zhu_condition(A, labels) -> bool:
-    """Size-dependent two-cluster separation test for the unweighted l2 model.
-
-    Requires dist > max_k (1 + 2 m_{1-k} (m_k - 1) / m_k^2) * dia(S_k); kept
-    as a comparison diagnostic only.
-    """
-    A = check_data(A)
-    labels = _check_labels(labels, A.shape[0])
-    values, counts = np.unique(labels, return_counts=True)
-    if values.size != 2:
-        raise ValueError(f"this condition is defined for exactly 2 clusters, got {values.size}")
-    stats = cluster_geometry(A, labels)
-    m0, m1 = int(counts[0]), int(counts[1])
-    sizes = (m0, m1)
-    threshold = max(
-        (1 + 2 * sizes[1 - k] * (sizes[k] - 1) / sizes[k] ** 2) * stats.diameters[k]
-        for k in range(2)
-    )
-    return bool(stats.min_dist > threshold)

@@ -161,11 +161,6 @@ def _prepared(A, labels) -> _Prepared:
     )
 
 
-def _check_r(r: float) -> None:
-    if r < 0:
-        raise ValueError(f"bandwidth r must be >= 0, got {r}")
-
-
 def _formulas(prep: _Prepared, two: bool | None) -> bool:
     """Whether the 2-cluster formulas apply: when ``two`` is True (K must be
     2), not when False, and by K when None."""
@@ -185,8 +180,9 @@ def _r_min(prep: _Prepared) -> tuple[float, float]:
 
 
 class _Bounds(NamedTuple):
-    """The closed forms at one bandwidth r."""
+    """The closed forms at one bandwidth r (the 2-cluster ones if ``two``)."""
 
+    two: bool
     gmin_w: float
     gmax_b: float
     rho: float | None
@@ -196,9 +192,13 @@ class _Bounds(NamedTuple):
     feasible: bool
 
 
-def _bounds(prep: _Prepared, r: float, two: bool) -> _Bounds:
-    """Kernel extremes and the c interval at bandwidth r.  The bandwidth scan
-    and every report evaluate them here, so they agree bit for bit."""
+def _bounds(prep: _Prepared, r: float, two: bool | None) -> _Bounds:
+    """Kernel extremes and the c interval at bandwidth r, by the formulas
+    :func:`_formulas` picks for ``two``.  The bandwidth scan and every report
+    evaluate them here, so they agree bit for bit."""
+    if r < 0:
+        raise ValueError(f"bandwidth r must be >= 0, got {r}")
+    two = _formulas(prep, two)
     m = sum(prep.sizes)
     gmin_w = float(np.exp(-r * prep.within_d2))
     if two:
@@ -227,12 +227,17 @@ def _bounds(prep: _Prepared, r: float, two: bool) -> _Bounds:
         lower = max(0.0, float((eps * prep.stats.diameters / denom).max()))
     else:
         lower = math.inf
-    return _Bounds(gmin_w, gmax_b, rho, eps, lower, upper,
+    return _Bounds(two, gmin_w, gmax_b, rho, eps, lower, upper,
                    feasible=bool(sign_ok and not degenerate and lower < upper))
 
 
-def _report(prep: _Prepared, r: float, two: bool, b: _Bounds) -> FeasibilityReport:
-    """The full report at bandwidth r, from the bounds evaluated there."""
+def _report(prep: _Prepared, r: float, two: bool | None = None,
+            b: _Bounds | None = None) -> FeasibilityReport:
+    """The full report at bandwidth r, by the formulas :func:`_formulas` picks
+    for ``two``, or from the bounds ``b`` the bandwidth scan evaluated."""
+    if b is None:
+        b = _bounds(prep, r, two)
+    two = b.two
     K = len(prep.sizes)
     stats = prep.stats
     means_distinct = not any(prep.zero_dims.values())
@@ -262,14 +267,6 @@ def _report(prep: _Prepared, r: float, two: bool, b: _Bounds) -> FeasibilityRepo
     )
 
 
-def _interval(prep: _Prepared, r: float, two: bool | None = None) -> FeasibilityReport:
-    """Evaluate the closed forms at bandwidth r: the 2-cluster formulas when
-    ``two`` is True, the K-cluster ones when False, and by K when None."""
-    _check_r(r)
-    two = _formulas(prep, two)
-    return _report(prep, r, two, _bounds(prep, r, two))
-
-
 def c_interval_two(A, labels, r: float) -> FeasibilityReport:
     """Feasible c interval for a 2-cluster dataset at bandwidth r.
 
@@ -279,7 +276,7 @@ def c_interval_two(A, labels, r: float) -> FeasibilityReport:
     centered cluster means coincide and the upper bound is undefined
     (degenerate report).
     """
-    return _interval(_prepared(A, labels), r, two=True)
+    return _report(_prepared(A, labels), r, two=True)
 
 
 def c_interval_k(A, labels, r: float) -> FeasibilityReport:
@@ -291,7 +288,7 @@ def c_interval_k(A, labels, r: float) -> FeasibilityReport:
     disagrees with the min used by the separation condition; both distances
     are reported rather than silently reconciled.
     """
-    return _interval(_prepared(A, labels), r, two=False)
+    return _report(_prepared(A, labels), r, two=False)
 
 
 class BallCheck(NamedTuple):
@@ -371,7 +368,7 @@ def gmm_separation_bound(means, covariances, m: int) -> GmmSeparationReport:
 
 def feasibility_report(A, labels, r: float) -> FeasibilityReport:
     """Dispatch to the 2-cluster formulas when K = 2, else the K-cluster ones."""
-    return _interval(_prepared(A, labels), r)
+    return _report(_prepared(A, labels), r)
 
 
 # Factor by which search_feasible_r grows r, and the most values it tries.
@@ -394,11 +391,10 @@ def search_feasible_r(A, labels, r_start: float | None = None) -> FeasibilityRep
     if not math.isfinite(r_min):
         raise ValueError("no finite bandwidth bound: separation condition fails")
     r = r_start if r_start is not None else max(r_min * 1.05, 1e-3)
-    _check_r(r)
     for _ in range(_R_TRIES):
         b = _bounds(prep, r, two)
         if b.feasible:
-            return _report(prep, r, two, b)
+            return _report(prep, r, b=b)
         last, r = r, r * _R_GROWTH
     raise ValueError(f"no feasible r found after {_R_TRIES} tries (last r={float(last):.4g})")
 

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
-from .core import all_pairs, check_data, pair_sqdist
+from .core import _ball_pairs, all_pairs, check_data, pair_sqdist
 
 
 @dataclass
@@ -72,18 +72,15 @@ def _knn_pairs(A: np.ndarray, k: int) -> np.ndarray:
 
     Neighbors are ranked by exact squared distance (:func:`pair_sqdist`, the
     values ``pdist`` gives), then by ascending index.  The k-d tree supplies
-    each row's (k+1)-th nearest distance; every row within it, widened by a
-    relative 1e-9 to cover the tree's rounding, is a candidate, so a row with
-    ties at that distance is ranked exactly against all of them.
+    each row's (k+1)-th nearest distance; every row within it, widened for the
+    tree's rounding (``core._ball_pairs``), is a candidate, so a row with ties
+    at that distance is ranked exactly against all of them.
     """
     m = A.shape[0]
     if not (1 <= k <= m - 1):
         raise ValueError(f"knn must be in [1, m-1] or 'full', got {k}")
     tree = cKDTree(A)
-    radius = tree.query(A, k + 1)[0][:, -1] * (1.0 + 1e-9)
-    cand = tree.query_ball_point(A, radius, return_sorted=False)
-    rows = np.repeat(np.arange(m), [len(c) for c in cand])
-    cols = np.concatenate(cand)
+    rows, cols = _ball_pairs(tree, A, tree.query(A, k + 1)[0][:, -1])
     off_diag = rows != cols
     rows, cols = rows[off_diag], cols[off_diag]
     d2 = pair_sqdist(A, np.column_stack([rows, cols]))

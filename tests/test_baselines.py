@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from convexcluster.baselines import hierarchical, kmeanspp_init, lloyd
+from convexcluster.datagen import BallModelSpec, stochastic_ball
 from convexcluster.metrics import rand_index
 
 
@@ -40,6 +43,36 @@ def test_lloyd_empty_cluster_repair():
     res = lloyd(A, 3, init_centers=init)
     assert len(set(res.labels.tolist())) == 3
     assert res.inertia < 50.0
+
+
+def _ball_copies(l):
+    # l copies, 200 apart, of three unit balls: two 4.5 apart, one 30 above
+    centers = [[200.0 * c + dx, dy] for c in range(l) for dx, dy in ((0, 0), (4.5, 0), (0, 30))]
+    return stochastic_ball(BallModelSpec(centers=np.array(centers), per_cluster=10, seed=0))
+
+
+def test_lloyd_repair_never_leaves_a_nan_center():
+    # on this start one reseed empties a cluster the repair had already
+    # passed; a single repair pass then took the mean of no rows
+    A, _ = _ball_copies(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = lloyd(A, 12, seed=19)
+    assert np.all(np.isfinite(res.centers))
+    assert np.isfinite(res.inertia)
+    assert len(set(res.labels.tolist())) == 12
+
+
+def test_lloyd_center_with_no_rows_stays_put():
+    # two equal starts: ties go to the lower index, so the second center
+    # gets no rows, and reseeding it onto a row cannot change that
+    A = np.array([[0.0], [0.0], [0.0], [5.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = lloyd(A, 3, init_centers=np.array([[0.0], [0.0], [5.0]]))
+    assert np.all(np.isfinite(res.centers))
+    assert res.labels.tolist() == [0, 0, 0, 2]
+    assert res.inertia == 0.0
 
 
 def test_lloyd_deterministic_per_seed():

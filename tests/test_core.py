@@ -89,6 +89,13 @@ def test_pair_row_index_examples():
         pair_from_row_index(4, 3)
 
 
+@pytest.mark.parametrize("p", [0, 4])
+def test_pair_from_row_index_names_the_argument_out_of_range(p):
+    # the message reports the 1-based p passed in, not a 0-based position
+    with pytest.raises(ValueError, match=rf"got p={p}, m=3"):
+        pair_from_row_index(p, 3)
+
+
 @pytest.mark.parametrize("m", range(2, 11))
 def test_pair_index_bijection(m):
     seen = set()

@@ -164,3 +164,6 @@ def test_csv_string_labels(tmp_path):
     A, labels, header = load_csv(path, label_column="kind")
     assert labels.tolist() == [0, 1, 0]
     assert header == ["x0", "x1"]
+    # ids follow first occurrence, not sorted order
+    path.write_text("x0,kind\n1,z\n2,a\n3,z\n", encoding="utf-8")
+    assert load_csv(path, label_column="kind")[1].tolist() == [0, 1, 0]

@@ -8,7 +8,6 @@ from convexcluster.metrics import (
     cluster_geometry,
     exact_clustering_check,
     rand_index,
-    zhu_condition,
 )
 
 
@@ -111,20 +110,3 @@ def test_exact_clustering_check_iff_extraction_matches_truth():
         matches = (extracted.k == 3 and
                    np.array_equal(extracted.labels, canonical_labels(truth).labels))
         assert ok == matches
-
-
-def test_zhu_condition_examples():
-    # dist 10, diameters 1, balanced pairs: factor 2 per cluster
-    A = np.array([[0.0], [1.0], [11.0], [12.0]])
-    assert zhu_condition(A, [0, 0, 1, 1])
-    # dist 2.5 > threshold 2 with unit diameters and balanced pairs
-    A = np.array([[0.0], [1.0], [3.5], [4.5]])
-    assert zhu_condition(A, [0, 0, 1, 1])
-    # shrinking the gap below the threshold flips it
-    A = np.array([[0.0], [1.0], [2.5], [3.5]])
-    assert not zhu_condition(A, [0, 0, 1, 1])
-    # zero diameters pass at any positive distance
-    A = np.array([[0.0], [0.5]])
-    assert zhu_condition(A, [0, 1])
-    with pytest.raises(ValueError):
-        zhu_condition(np.zeros((3, 1)), [0, 1, 2])
