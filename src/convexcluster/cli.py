@@ -98,9 +98,12 @@ def _load_dataset(args, needs_labels: str | None = None):
 
 def _parse_vector(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
+        values = []
+    if not values:
         raise CliError(f"cannot parse vector {text!r} (expected comma-separated numbers)")
+    return values
 
 
 def _per_cluster(values: list[float], K: int, message: str) -> list[float]:
@@ -314,18 +317,16 @@ def cmd_path(args) -> int:
 # ---------------------------------------------------------------- bench
 
 def _bench_task(A, truth, k, inits, task):
-    """One benchmark repetition: best Rand index over the configured inits."""
+    """One benchmark repetition: the Rand index of the least-inertia run (the
+    first on ties) of the configured inits; the truth only scores that run."""
     method, rep, base_seed = task
-    best = -1.0
-    for i in range(inits):
-        seed = base_seed + rep * inits + i
-        if method == "lloyd":
-            labels = lloyd(A, k, seed=seed).labels
-        else:  # kmeanspp
-            centers = kmeanspp_init(A, k, seed=seed)
-            labels = lloyd(A, k, init_centers=centers).labels
-        best = max(best, rand_index(labels, truth))
-    return method, rep, best
+    seeds = range(base_seed + rep * inits, base_seed + (rep + 1) * inits)
+    if method == "lloyd":
+        runs = (lloyd(A, k, seed=seed) for seed in seeds)
+    else:  # kmeanspp
+        runs = (lloyd(A, k, init_centers=kmeanspp_init(A, k, seed=seed)) for seed in seeds)
+    best = min(runs, key=lambda run: run.inertia)
+    return method, rep, rand_index(best.labels, truth)
 
 
 def cmd_bench(args) -> int:
@@ -519,7 +520,7 @@ def _bench_flags(b: argparse.ArgumentParser):
     b.add_argument("--k", type=int, default=None, help="target cluster count (default: truth)")
     b.add_argument("--repeats", type=int, default=100)
     b.add_argument("--inits", type=int, default=10,
-                   help="take the best Rand index over this many initializations per repeat")
+                   help="keep the least-inertia run of this many initializations per repeat")
     b.add_argument("--c", type=float, default=None,
                    help="fixed c for the convex method (default: path-select k)")
     b.add_argument("--c-grid", type=_parse_vector, default=None)

@@ -75,12 +75,15 @@ def center_columns(A) -> np.ndarray:
     return A - A.mean(axis=0)
 
 
-def _incidence(pairs: np.ndarray, m: int) -> sp.csr_matrix:
-    """Signed incidence matrix over m nodes: row l is e_i - e_j for pairs[l] = (i, j)."""
-    n_pairs = pairs.shape[0]
-    rows = np.repeat(np.arange(n_pairs), 2)
-    data = np.tile(np.array([1.0, -1.0]), n_pairs)
-    return sp.csr_matrix((data, (rows, pairs.ravel())), shape=(n_pairs, m))
+def _incidence_transpose(pairs: np.ndarray, m: int) -> sp.csr_matrix:
+    """E^T as CSR, E the signed incidence over m nodes (row l is e_i - e_j for
+    pairs[l] = (i, j)): row i lists the edges at node i in ascending order,
+    +1 where i is the edge's first node and -1 where it is its second."""
+    ends = pairs.ravel()  # edge l's nodes sit at 2l and 2l + 1
+    order = np.argsort(ends, kind="stable")
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=m), out=indptr[1:])
+    return sp.csr_matrix((1.0 - 2.0 * (order & 1), order >> 1, indptr), shape=(m, len(pairs)))
 
 
 def difference_operator(m: int) -> sp.csr_matrix:
@@ -91,7 +94,7 @@ def difference_operator(m: int) -> sp.csr_matrix:
     """
     if m < 2:
         raise ValueError(f"difference operator needs m >= 2, got {m}")
-    return _incidence(all_pairs(m), m)
+    return _incidence_transpose(all_pairs(m), m).T.tocsr()
 
 
 def all_pairs(m: int) -> np.ndarray:

@@ -174,12 +174,22 @@ def save_csv(path, A, labels=None) -> None:
             w.writerow(row)
 
 
+def _is_number(cell: str) -> bool:
+    """Whether ``float`` parses the cell."""
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
 def load_csv(path, label_column: str | int | None = None):
     """Read a rectangular numeric CSV; rows are observations.
 
     ``label_column`` (a header name or column index) is extracted as integer
     truth labels and excluded from the features.  Ragged rows, non-numeric
-    feature cells, and a missing label column are errors.  Returns
+    feature cells, and a missing label column are errors; labels that are not
+    finite numbers map to dense ids by first occurrence.  Returns
     (data, labels_or_None, header_or_None).
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -191,20 +201,13 @@ def load_csv(path, label_column: str | int | None = None):
         raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
 
     header: list[str] | None = None
-    first = rows[0]
-    def _numeric(cell: str) -> bool:
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-    if not all(_numeric(c) for c in first):
-        header = [c.strip() for c in first]
+    if not all(map(_is_number, rows[0])):
+        header = [c.strip() for c in rows[0]]
         rows = rows[1:]
         if not rows:
             raise ValueError(f"{path}: header but no data rows")
 
-    label_idx: int | None = None
+    labels = None
     if label_column is not None:
         if isinstance(label_column, str):
             if header is None or label_column not in header:
@@ -215,30 +218,20 @@ def load_csv(path, label_column: str | int | None = None):
             ncol = len(rows[0])
             if not (-ncol <= label_idx < ncol):
                 raise ValueError(f"{path}: label column index {label_idx} out of range")
-            label_idx %= ncol
-
-    data = []
-    labels = []
-    for ln, row in enumerate(rows, start=1):
-        vals = []
-        for ci, cell in enumerate(row):
-            if ci == label_idx:
-                labels.append(cell.strip())
-                continue
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric feature cell {cell!r} in data row {ln}")
-        data.append(vals)
-    A = check_data(np.array(data, dtype=float))
-
-    out_labels = None
-    if label_idx is not None:
+        cells = [row.pop(label_idx).strip() for row in rows]
+        if header is not None:
+            header.pop(label_idx)
         try:
-            out_labels = np.array([int(float(s)) for s in labels], dtype=np.int64)
-        except ValueError:  # label strings: dense ids by first occurrence
-            out_labels = first_occurrence_ranks(labels)
-    feat_header = None
-    if header is not None:
-        feat_header = [h for ci, h in enumerate(header) if ci != label_idx]
-    return A, out_labels, feat_header
+            labels = np.array([int(float(s)) for s in cells], dtype=np.int64)
+        except (ValueError, OverflowError):  # strings, nan, inf: dense ids by first occurrence
+            labels = first_occurrence_ranks(cells)
+
+    try:
+        A = np.array(rows, dtype=float)  # parses each cell as float() does
+    except ValueError:  # name the first cell that does not parse
+        for ln, row in enumerate(rows, start=1):
+            for cell in row:
+                if not _is_number(cell):
+                    raise ValueError(f"{path}: non-numeric feature cell {cell!r} in data row {ln}")
+        raise
+    return check_data(A), labels, header

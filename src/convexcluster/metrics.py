@@ -92,11 +92,8 @@ def exact_clustering_check(X, truth, merge_tol: float = 1e-8) -> ExactClustering
     """
     X = check_data(X)
     truth = _check_labels(truth, X.shape[0])
-    m = X.shape[0]
-    if m < 2:
-        return ExactClusteringResult(ok=True, violation=None)
     d = pdist(X)
-    ii, jj = np.triu_indices(m, k=1)
+    ii, jj = np.triu_indices(X.shape[0], k=1)
     same = truth[ii] == truth[jj]  # condensed order matches pdist
     bad = np.nonzero(np.where(same, d > merge_tol, d <= merge_tol))[0]
     if bad.size == 0:

@@ -69,14 +69,15 @@ with S + nu*L, and its stop measures the change of the lifted X,
 ||sqrt(s) * dX_g||_F.  One pair of maps joins it to the input problem.
 ``restrict`` takes a warm start to group means of X, weighted means of Z and
 sums of U over parallel edges; screened and contracted edges have no part in
-it.  ``lift`` copies each super-node's row to its members, a merged edge's Z
-to its parallel edges (with their orientation), and splits its Lam among
-them by w_l / W_e.  Every other input edge gets Z = X_i - X_j and Lam = 0:
-that difference is exactly 0 on a contracted edge, and on a screened edge it
-is the difference of the returned X.  The maps are index arrays (each row's
-super-node, each parallel edge's merged edge, sign and share), applied as
-row gathers and scatters that add in the order a product with the matching
-sparse matrix adds, so the maps build no sparse matrix.
+it.  ``lift`` copies each super-node's row to its members and takes Z on
+every input edge as the difference X_i - X_j of the lifted X; then it writes
+each merged edge's Z over its parallel edges (with their orientation) and
+splits its Lam among them by w_l / W_e.  The other input edges keep that
+difference, exactly 0 on a contracted edge and the difference of the
+returned X on a screened one, and Lam = 0.  The maps are index arrays (each
+row's super-node, each parallel edge's merged edge, sign and share), applied
+as row gathers and scatters that add in the order a product with the
+matching sparse matrix adds, so the maps build no sparse matrix.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import _components, _incidence, check_data
+from .core import _components, _incidence_transpose, check_data
 from .weights import EdgeSet
 
 PAPER = "paper"
@@ -164,7 +165,7 @@ class SolverState:
 
 def incidence(edges: EdgeSet) -> sp.csr_matrix:
     """Signed edge-incidence operator E with (EX)_l = X_{l1} - X_{l2}."""
-    return _incidence(edges.pairs, edges.m)
+    return _incidence_transpose(edges.pairs, edges.m).T.tocsr()
 
 
 def objective(A, X, edges: EdgeSet, c: float, convention: str = PAPER) -> float:
@@ -197,17 +198,6 @@ def _factor(edges: EdgeSet, nu: float, fidelity: np.ndarray):
     return splu(sp.csc_matrix((values[order], rows[order], indptr), shape=(G, G)),
                 permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
-
-
-def _incidence_transpose(edges: EdgeSet) -> sp.csr_matrix:
-    """E^T as CSR: row i lists the edges at node i in ascending order, with
-    +1 where i is the edge's first node and -1 where it is its second."""
-    ends = edges.pairs.ravel()  # edge l's nodes sit at 2l and 2l + 1
-    order = np.argsort(ends, kind="stable")
-    indptr = np.zeros(edges.m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=edges.m), out=indptr[1:])
-    return sp.csr_matrix((1.0 - 2.0 * (order & 1), order >> 1, indptr),
-                         shape=(edges.m, edges.n_edges))
 
 
 def _screen(A, edges: EdgeSet, c_half: float) -> np.ndarray:
@@ -261,8 +251,7 @@ class _Reduction:
     input edge ``parallel[k]`` is a parallel copy of merged edge
     ``merged[k]``, ``sign[k]`` is +1 where it has the merged edge's
     orientation and -1 where it has the reverse, and ``share[k]`` is
-    sign[k] * w_l / W_e.  ``free`` lists the other input edges, screened or
-    contracted, and ``pairs`` are all input edges.
+    sign[k] * w_l / W_e.  ``pairs`` are all input edges.
 
     With the G x m matrix of ones at (label[i], i), and the merged x input
     edges matrices ``copy`` (entries ``sign``) and ``share`` (entries
@@ -277,7 +266,6 @@ class _Reduction:
     merged: np.ndarray
     sign: np.ndarray
     share: np.ndarray
-    free: np.ndarray
     pairs: np.ndarray
 
     def sums(self, X):
@@ -295,17 +283,15 @@ class _Reduction:
     def lift(self, X, Z, Lam):
         """A reduced state on every input row and edge (see the module docstring)."""
         X = np.take(X, self.label, axis=0)
-        Z_in = self._spread(Z, self.sign)
-        Z_in[self.free] = _differences(X, self.pairs[self.free])
-        return X, Z_in, self._spread(Lam, self.share)
+        Z_in = self._spread(Z, self.sign, _differences(X, self.pairs))
+        return X, Z_in, self._spread(Lam, self.share, np.zeros_like(Z_in))
 
-    def _spread(self, V, factor):
-        """factor[k] * V[merged[k]] on input edge parallel[k] and zeros on
-        the free edges: the transposed products of the class docstring, whose
-        sums have at most one term."""
+    def _spread(self, V, factor, out):
+        """Write factor[k] * V[merged[k]] over input edge parallel[k] of
+        ``out``: the transposed products of the class docstring, whose sums
+        have at most one term."""
         rows = _scaled_rows(V, self.merged, factor)
         rows += 0.0  # a sum from 0.0 is never -0.0
-        out = np.zeros((self.pairs.shape[0], V.shape[1]))
         out[self.parallel] = rows
         return out
 
@@ -339,13 +325,11 @@ def _reduce(A, edges: EdgeSet, keep: np.ndarray, c_half: float) -> _Reduction:
     G = size.size
     pairs, weights, leaves, merged, forward = _merge(kept_pairs, kept_weights, label, G)
     parallel = kept[leaves]
-    free = ~keep  # screened, then contracted: both ends in one super-node
-    free[kept[~leaves]] = True
     sign = np.where(forward, 1.0, -1.0)
     return _Reduction(
         label=label, size=size, edges=EdgeSet(G, pairs, weights), parallel=parallel,
         merged=merged, sign=sign, share=sign * edges.weights[parallel] / weights[merged],
-        free=np.flatnonzero(free), pairs=edges.pairs)
+        pairs=edges.pairs)
 
 
 def _differences(X, pairs: np.ndarray) -> np.ndarray:
@@ -402,7 +386,7 @@ def admm_solve(A, edges: EdgeSet, cfg: SolverConfig, init: SolverState | None = 
 
     nu = cfg.nu
     lu = _factor(red.edges, nu, red.size)
-    EincT = _incidence_transpose(red.edges)
+    EincT = _incidence_transpose(red.edges.pairs, G)
     first, second = (np.ascontiguousarray(ends) for ends in red.edges.pairs.T)
     # soft_threshold(W, t) = W - clip(W, -t, t), with t spread to E x n once
     hi = np.ascontiguousarray(np.broadcast_to((c_half / nu) * red.edges.weights[:, None], (E, n)))
@@ -479,9 +463,8 @@ def kkt_residual(A, X, edges: EdgeSet, c: float, convention: str = PAPER,
 
     from scipy.optimize import lsq_linear  # imported here: it adds ~0.15 s to every start
 
-    Einc = incidence(edges)
-    EincT = Einc.T.tocsr()
-    D = Einc @ X
+    EincT = _incidence_transpose(edges.pairs, edges.m)
+    D = _differences(X, edges.pairs)
     cw = c * edges.weights
 
     total = 0.0

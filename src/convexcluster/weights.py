@@ -61,20 +61,20 @@ def gaussian_weights(A, r: float) -> np.ndarray:
     A = check_data(A)
     if r < 0:
         raise ValueError(f"kernel bandwidth r must be >= 0, got {r}")
-    if A.shape[0] < 2:
-        return np.empty(0)
     d2 = pdist(A, metric="sqeuclidean")
     return np.exp(-r * d2)
 
 
-def _knn_pairs(A: np.ndarray, k: int) -> np.ndarray:
-    """Undirected (i, j), i < j, pairs where one row is among the other's k nearest.
+def _knn_pairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected (i, j), i < j, pairs where one row is among the other's k
+    nearest, and their squared distances d^2.
 
-    Neighbors are ranked by exact squared distance (:func:`pair_sqdist`, the
-    values ``pdist`` gives), then by ascending index.  The k-d tree supplies
-    each row's (k+1)-th nearest distance; every row within it, widened for the
-    tree's rounding (``core._ball_pairs``), is a candidate, so a row with ties
-    at that distance is ranked exactly against all of them.
+    Neighbors are ranked by exact d^2 (:func:`pair_sqdist`, the values
+    ``pdist`` gives, bitwise equal for (i, j) and (j, i)), then by ascending
+    index.  The k-d tree supplies each row's (k+1)-th nearest distance; every
+    row within it, widened for the tree's rounding (``core._ball_pairs``), is
+    a candidate, so a row with ties at that distance is ranked exactly
+    against all of them.
     """
     m = A.shape[0]
     if not (1 <= k <= m - 1):
@@ -85,11 +85,11 @@ def _knn_pairs(A: np.ndarray, k: int) -> np.ndarray:
     rows, cols = rows[off_diag], cols[off_diag]
     d2 = pair_sqdist(A, np.column_stack([rows, cols]))
     order = np.lexsort((cols, d2, rows))
-    rows, cols = rows[order], cols[order]
+    rows, cols, d2 = rows[order], cols[order], d2[order]
     keep = np.arange(rows.size) - np.searchsorted(rows, rows) < k
-    rows, cols = rows[keep], cols[keep]
-    key = np.unique(np.minimum(rows, cols) * m + np.maximum(rows, cols))
-    return np.column_stack([key // m, key % m])
+    rows, cols, d2 = rows[keep], cols[keep], d2[keep]
+    key, first = np.unique(np.minimum(rows, cols) * m + np.maximum(rows, cols), return_index=True)
+    return np.column_stack([key // m, key % m]), d2[first]
 
 
 def gaussian_edges(A, r: float, knn: int | str = 5) -> EdgeSet:
@@ -107,5 +107,5 @@ def gaussian_edges(A, r: float, knn: int | str = 5) -> EdgeSet:
         raise ValueError(f"kernel bandwidth r must be >= 0, got {r}")
     if knn == "full":
         return EdgeSet(m=A.shape[0], pairs=all_pairs(A.shape[0]), weights=gaussian_weights(A, r))
-    pairs = _knn_pairs(A, int(knn))
-    return EdgeSet(m=A.shape[0], pairs=pairs, weights=np.exp(-r * pair_sqdist(A, pairs)))
+    pairs, d2 = _knn_pairs(A, int(knn))
+    return EdgeSet(m=A.shape[0], pairs=pairs, weights=np.exp(-r * d2))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from convexcluster import cli, theory
+from convexcluster.baselines import lloyd
 from convexcluster.cli import main
 from convexcluster.datagen import load_csv, save_csv
+from convexcluster.metrics import rand_index
 
 
 def run_cli(args, capsys):
@@ -498,3 +500,132 @@ def test_main_parses_argv_once(ball_csv, capsys, monkeypatch):
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith("convexcluster: error: unrecognized arguments: --bogus x\n")
     assert sorted(parsed) == ["convexcluster", "convexcluster cluster"]
+
+
+@pytest.mark.parametrize("args", [
+    ["path", "{data}", "--label-column", "label", "--c-grid", ","],
+    ["bench", "{data}", "--methods", "convex", "--c-grid", ","],
+    ["feasibility", "{data}", "--gmm-sigmas", ","],
+    ["feasibility", "{data}", "--centers", "0,0", " , "],
+    ["generate", "gmm", "--means", "0,0", "4,0", "--sigmas", ",", "-o", "{out}"],
+    ["generate", "gmm", "--means", "0,0", "4,0", "--weights", ",", "-o", "{out}"],
+    ["generate", "gmm", "--means", ",", "-o", "{out}"],
+], ids=["path-c-grid", "bench-c-grid", "gmm-sigmas", "centers", "sigmas", "weights", "means"])
+def test_vector_flag_without_numbers_exits_2(ball_csv, tmp_path, capsys, args):
+    # an empty vector used to fall back to the flag's default without a word
+    out = tmp_path / "g.csv"
+    argv = [a.format(data=ball_csv, out=out) for a in args]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: cannot parse vector ")
+    assert err.endswith(" (expected comma-separated numbers)\n")
+    assert not out.exists()
+
+
+def test_empty_vector_in_a_config_file_exits_2(ball_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gmm-sigmas=\n", encoding="utf-8")
+    code, stdout, err = run_cli(["feasibility", str(ball_csv), "--config", str(cfg)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: cannot parse vector '' (expected comma-separated numbers)\n"
+
+
+def test_feasibility_accepts_infinite_labels(tmp_path, capsys):
+    # int(float("inf")) overflows; such labels map to dense ids as strings do
+    data = tmp_path / "b.csv"
+    main(["generate", "ball", "--centers", "0,0", "4,0", "--per-cluster", "6", "--seed", "2",
+          "-o", str(data)])
+    capsys.readouterr()
+    A, truth, _ = load_csv(data, label_column="label")
+    names = {0: "inf", 1: "a"}
+    relabeled = tmp_path / "inf.csv"
+    relabeled.write_text("x0,x1,label\n" + "".join(
+        f"{x!r},{y!r},{names[t]}\n" for (x, y), t in zip(A.tolist(), truth)), encoding="utf-8")
+    reports = []
+    for path in (data, relabeled):
+        code, stdout, _ = run_cli(["feasibility", str(path)], capsys)
+        assert code == 0
+        report = json.loads(stdout)
+        del report["input"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["separation"]["separated"] is True
+
+
+def test_bench_keeps_the_least_inertia_start(tmp_path, capsys):
+    # the paper's k-means counterexample, 4 copies: at repetition 1 the start
+    # with the best Rand index is not the one with the least inertia
+    data = tmp_path / "copies.csv"
+    main(["generate", "ball", "--centers", "0,0", "4.5,0", "0,30", "200,0", "204.5,0", "200,30",
+          "400,0", "404.5,0", "400,30", "600,0", "604.5,0", "600,30", "--per-cluster", "10",
+          "--seed", "0", "-o", str(data)])
+    capsys.readouterr()
+    code, stdout, _ = run_cli(["bench", str(data), "--methods", "lloyd", "--k", "12",
+                               "--repeats", "2", "--inits", "10", "--seed", "0"], capsys)
+    assert code == 0
+    A, truth, _ = load_csv(data, label_column="label")
+    kept, best = [], []
+    for rep in range(2):
+        runs = [lloyd(A, 12, seed=rep * 10 + i) for i in range(10)]
+        kept.append(rand_index(min(runs, key=lambda run: run.inertia).labels, truth))
+        best.append(max(rand_index(run.labels, truth) for run in runs))
+    assert kept[1] < best[1]
+    assert json.loads(stdout)["results"]["lloyd"] == {
+        "mean": float(np.mean(kept)), "sd": float(np.std(kept)), "runs": 2}
+
+
+def test_generate_gmm_with_means_sigmas_and_weights(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    code, stdout, _ = run_cli(["generate", "gmm", "--means", "0,0", "6,0", "--sigmas", "0.5,1",
+                               "--weights", "0.25,0.75", "--m", "40", "--seed", "2",
+                               "-o", str(out)], capsys)
+    assert code == 0
+    spec = json.loads(stdout)["spec"]
+    assert spec["means"] == [[0.0, 0.0], [6.0, 0.0]]
+    assert (spec["sigmas"], spec["weights"], spec["m"]) == ([0.5, 1.0], [0.25, 0.75], 40)
+    A, labels, _ = load_csv(out, label_column="label")
+    assert A.shape == (40, 2) and set(labels.tolist()) <= {0, 1}
+    # one sigma is shared; a count that matches no component is an error
+    code, stdout, _ = run_cli(["generate", "gmm", "--means", "0,0", "6,0", "--sigmas", "0.5",
+                               "-o", str(out)], capsys)
+    assert code == 0 and json.loads(stdout)["spec"]["sigmas"] == [0.5, 0.5]
+    code, _, err = run_cli(["generate", "gmm", "--means", "0,0", "6,0", "--sigmas", "1,2,3",
+                            "-o", str(out)], capsys)
+    assert code == 2
+    assert err == "error: need one sigma per component (or a single shared value)\n"
+
+
+@pytest.fixture()
+def unconverged_path(tmp_path):
+    # two ADMM iterations per c leave a warm path whose counts rise again
+    data = tmp_path / "four.csv"
+    data.write_text("x0,x1\n1.36,1.22\n-0.51,-0.3\n-0.53,0.57\n-0.06,0.75\n", encoding="utf-8")
+    return ["path", str(data), "--r", "0.5", "--knn", "full", "--c-grid", "0.1,0.3,1,3",
+            "--max-iter", "2", "--merge-tol", "0.05"]
+
+
+def _counts(stdout):
+    return [int(line.split(",")[1]) for line in stdout.strip().splitlines()[1:]]
+
+
+def test_path_warns_when_counts_are_not_monotone(unconverged_path, capsys):
+    code, stdout, err = run_cli(unconverged_path, capsys)
+    assert code == 0
+    assert _counts(stdout) == [4, 4, 3, 4]
+    assert err.splitlines()[0] == ("warning: cluster counts are not monotone along this path "
+                                   "(try --cold or a tighter --tol)")
+    code, stdout, err = run_cli(unconverged_path + ["--cold"], capsys)
+    assert code == 0
+    assert _counts(stdout) == [4, 4, 4, 4]
+    assert "warning" not in err
+
+
+@pytest.mark.parametrize("value, cold", [("yes", True), ("ON", True), ("1", True),
+                                         ("false", False), ("off", False)])
+def test_config_switch_values(unconverged_path, tmp_path, capsys, value, cold):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cold={value}\n", encoding="utf-8")
+    _, from_config, _ = run_cli(unconverged_path + ["--config", str(cfg)], capsys)
+    _, from_flags, _ = run_cli(unconverged_path + (["--cold"] if cold else []), capsys)
+    assert from_config == from_flags
+    assert _counts(from_config) == ([4, 4, 4, 4] if cold else [4, 4, 3, 4])

@@ -167,3 +167,30 @@ def test_csv_string_labels(tmp_path):
     # ids follow first occurrence, not sorted order
     path.write_text("x0,kind\n1,z\n2,a\n3,z\n", encoding="utf-8")
     assert load_csv(path, label_column="kind")[1].tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("cells", [["inf", "1", "inf"], ["1e400", "-inf", "1e400"],
+                                   ["1e19", "2", "1e19"]], ids=["inf", "overflow", "int64"])
+def test_csv_labels_beyond_int64_map_to_dense_ids(tmp_path, cells):
+    # int(float("inf")) and int64(1e19) overflow; they map like string labels
+    path = tmp_path / "l.csv"
+    path.write_text("x0,label\n" + "".join(f"{q},{c}\n" for q, c in enumerate(cells)),
+                    encoding="utf-8")
+    A, labels, header = load_csv(path, label_column="label")
+    assert labels.dtype == np.int64 and labels.tolist() == [0, 1, 0]
+    assert A.tolist() == [[0.0], [1.0], [2.0]] and header == ["x0"]
+
+
+def test_csv_cells_parse_as_float_does(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text('x0,label,x1\n" 1_000 ",1,２\n-.5,2,+3e-1\n', encoding="utf-8")
+    A, labels, header = load_csv(path, label_column=-2)
+    assert A.tolist() == [[1000.0, 2.0], [-0.5, 0.3]]
+    assert labels.tolist() == [1, 2] and header == ["x0", "x1"]
+    # the first cell float() rejects is named, by row and in order
+    path.write_text("1,2\n3,4\n5,x\n,y\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"non-numeric feature cell 'x' in data row 3"):
+        load_csv(path)
+    path.write_text("x0,label,x1\n1,a,2\n3,b,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"non-numeric feature cell '' in data row 2"):
+        load_csv(path, label_column="label")

@@ -133,3 +133,26 @@ def test_find_c_for_k_stops_at_the_first_grid_hit(monkeypatch):
     assert find_c_for_k(FOUR, edges, 3, cfg, grid) is None
     assert solved[:len(grid)] == grid
     assert all(0.05 < c < 0.3 for c in solved[len(grid):])
+
+
+def test_find_c_for_k_returns_none_without_a_bracket_or_once_it_is_spent(monkeypatch):
+    edges = gaussian_edges(FOUR, 0.01, "full")
+    cfg = SolverConfig(c=0.0, tol=1e-9, max_iter=200000)
+    solved = []
+
+    def counting_solve(A, edges, cfg, init=None):
+        solved.append(cfg.c)
+        return admm_solve(A, edges, cfg, init)
+
+    monkeypatch.setattr(extraction, "admm_solve", counting_solve)
+    # counts 4 and 2: no grid point above k = 5, none below k = 1
+    assert find_c_for_k(FOUR, edges, 5, cfg, [0.0, 0.3]) is None
+    assert find_c_for_k(FOUR, edges, 1, cfg, [0.0, 0.05]) is None
+    assert solved == [0.0, 0.3, 0.0, 0.05]
+    del solved[:]
+    # both pairs fuse at one c near 0.1008, so no c gives 3 clusters; on a
+    # bracket of ratio 0.11/0.09 the ratio stop ends the bisection after 38
+    # of its 40 steps, since ln(11/9) / 2**38 < 1e-12
+    assert find_c_for_k(FOUR, edges, 3, cfg, [0.09, 0.11]) is None
+    assert len(solved) == 2 + 38 < 2 + extraction._MAX_BISECT
+    assert 1.0 < max(solved[-2:]) / min(solved[-2:]) < 1.0 + 1e-12

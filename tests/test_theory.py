@@ -319,3 +319,16 @@ def test_candidate_c_values_inside_interval():
         candidate_c_values(c_interval_two(FOUR, FOUR_LABELS, r=0.0))
     with pytest.raises(ValueError, match="count must be >= 1"):
         candidate_c_values(rep, count=0)
+
+
+def test_candidate_c_values_single_is_the_geometric_middle():
+    # the README's library example, which takes count=1
+    A, truth = stochastic_ball(BallModelSpec(
+        centers=np.array([[0.0, 0.0], [4.5, 0.0]]), per_cluster=15, seed=0))
+    feas = search_feasible_r(A, truth)
+    (c,) = candidate_c_values(feas, 1)
+    assert 0 < feas.kappa_lower < c < feas.kappa_upper < math.inf
+    assert c == math.sqrt(feas.kappa_lower * (1 + 1e-9) * feas.kappa_upper * (1 - 1e-9))
+    edges = gaussian_edges(A, feas.r, "full")
+    state = admm_solve(A, edges, SolverConfig(c=c, tol=1e-8, max_iter=60000))
+    assert exact_clustering_check(state.X, truth, merge_tol=1e-6).ok
