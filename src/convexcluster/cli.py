@@ -26,7 +26,8 @@ import numpy as np
 from . import datagen, theory
 from .baselines import hierarchical, kmeanspp_init, lloyd
 from .core import first_occurrence_ranks
-from .extraction import canonical_labels, extract_clusters, find_c_for_k, regularization_path
+from .extraction import (_solve_point, canonical_labels, extract_clusters, find_c_for_k,
+                         regularization_path)
 from .metrics import rand_index
 from .solver import PAPER, SolverConfig, admm_solve, objective
 from .theory import candidate_c_values, feasibility_report, search_feasible_r
@@ -106,22 +107,25 @@ def _parse_vector(text: str) -> list[float]:
     return values
 
 
-def _per_cluster(values: list[float], K: int, message: str) -> list[float]:
-    """One value per cluster, or a single value shared by all K."""
+def _vectors(values: list[list[float]], flag: str) -> np.ndarray:
+    """The vectors given to ``flag`` as the rows of one array."""
+    if len({len(v) for v in values}) > 1:
+        raise CliError(f"{flag}: every vector needs the same length, "
+                       f"got lengths {[len(v) for v in values]}")
+    return np.array(values)
+
+
+def _sigmas(values: list[float], K: int, n: int, message: str):
+    """(one spherical sigma per cluster, or a single one shared by all K,
+    each > 0; their covariances s**2 I in R^n)."""
     if len(values) == 1:
         values = values * K
     if len(values) != K:
         raise CliError(message)
-    return values
-
-
-def _sigmas(values: list[float], K: int, message: str) -> list[float]:
-    """``_per_cluster`` for spherical sigmas, each of which must be > 0."""
-    values = _per_cluster(values, K, message)
     for sigma in values:
         if not sigma > 0:
             raise CliError(f"sigma must be > 0, got {sigma}")
-    return values
+    return values, [s ** 2 * np.eye(n) for s in values]
 
 
 def _parse_knn(text: str):
@@ -175,7 +179,7 @@ def cmd_generate(args) -> int:
     elif args.kind == "ball":
         if not args.centers:
             raise CliError("generate ball requires --centers")
-        centers = np.array(args.centers)
+        centers = _vectors(args.centers, "--centers")
         spec_obj = datagen.BallModelSpec(centers=centers, per_cluster=args.per_cluster,
                                          distribution=args.distribution, seed=args.seed)
         A, labels = datagen.stochastic_ball(spec_obj)
@@ -190,12 +194,11 @@ def cmd_generate(args) -> int:
     else:  # general gmm
         if not args.means:
             raise CliError("generate gmm requires --means (or --paper)")
-        means = np.array(args.means)
+        means = _vectors(args.means, "--means")
         K = means.shape[0]
-        sigmas = _sigmas(args.sigmas or [args.sigma], K,
-                         "need one sigma per component (or a single shared value)")
+        sigmas, covs = _sigmas(args.sigmas or [args.sigma], K, means.shape[1],
+                               "need one sigma per component (or a single shared value)")
         weights = args.weights or [1.0 / K] * K
-        covs = [s ** 2 * np.eye(means.shape[1]) for s in sigmas]
         spec_obj = datagen.GmmSpec(weights=np.array(weights), means=means,
                                    covariances=covs, m=args.m, seed=args.seed)
         A, labels = datagen.gaussian_mixture(spec_obj)
@@ -225,16 +228,11 @@ def _strict_exit(args, converged: bool) -> int:
     return 0
 
 
-def _merge_tol(args) -> float:
-    """Extraction threshold: ``--merge-tol``, else 10 * ``--tol``."""
-    return args.merge_tol if args.merge_tol is not None else 10.0 * args.tol
-
-
 def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     auto = "--auto-params" if args.auto_params else "--auto-r" if args.auto_r else None
     A, truth, source = _load_dataset(args, auto and f"{auto} needs labeled data (--label-column)")
-    merge_tol = _merge_tol(args)
+    merge_tol = args.merge_tol if args.merge_tol is not None else 10.0 * args.tol
     config = {"nu": args.nu, "tol": args.tol, "max_iter": args.max_iter, "knn": args.knn,
               "merge_tol": merge_tol, "convention": args.convention, "threads": _threads(),
               "r": args.r}
@@ -301,7 +299,7 @@ def cmd_path(args) -> int:
     A, truth, _ = _load_dataset(args)
     edges = gaussian_edges(A, r=args.r, knn=args.knn)
     path = regularization_path(A, edges, _c_grid(args), _solver_config(args, 0.0),
-                               merge_tol=_merge_tol(args), warm_start=not args.cold)
+                               merge_tol=args.merge_tol, warm_start=not args.cold)
     if not path.counts_non_increasing:
         print("warning: cluster counts are not monotone along this path "
               "(try --cold or a tighter --tol)", file=sys.stderr)
@@ -348,20 +346,16 @@ def cmd_bench(args) -> int:
 
     if "convex" in methods:
         edges = gaussian_edges(A, r=args.r, knn=args.knn)
-        merge_tol = _merge_tol(args)
+        cfg = _solver_config(args, 0.0)
         if args.c is not None:
-            state = admm_solve(A, edges, _solver_config(args, args.c))
-            assign = extract_clusters(state.X, merge_tol)
-            c_used, iters, converged = args.c, state.iters, state.converged
+            pt = _solve_point(A, edges, cfg, args.c, args.merge_tol)[0]
         else:
-            pt = find_c_for_k(A, edges, k, _solver_config(args, 0.0), _c_grid(args),
-                              merge_tol=merge_tol)
+            pt = find_c_for_k(A, edges, k, cfg, _c_grid(args), merge_tol=args.merge_tol)
             if pt is None:
                 raise CliError(f"no c on the grid yields {k} clusters; widen --c-min/--c-max")
-            assign, c_used, iters, converged = pt.assignment, pt.c, pt.iters, pt.converged
-        results["convex"] = {"mean": rand_index(assign.labels, truth), "sd": 0.0,
-                             "runs": 1, "c": c_used, "n_clusters": assign.k,
-                             "iters": iters, "converged": converged}
+        results["convex"] = {"mean": rand_index(pt.assignment.labels, truth), "sd": 0.0,
+                             "runs": 1, "c": pt.c, "n_clusters": pt.n_clusters,
+                             "iters": pt.iters, "converged": pt.converged}
 
     for method, name in (("hc-single", "single"), ("hc-average", "average")):
         if method in methods:
@@ -427,14 +421,13 @@ def cmd_feasibility(args) -> int:
                             "min_dist": dist_min, "max_dia": max(diameters),
                             "diameters": diameters}
     if args.centers:
-        check = theory.ball_condition(np.array(args.centers))
+        check = theory.ball_condition(_vectors(args.centers, "--centers"))
         report["ball"] = {"delta": check.delta, "satisfied": check.satisfied}
     if args.gmm_sigmas:
         ranks = first_occurrence_ranks(truth)
         means = np.stack([A[ranks == k].mean(axis=0) for k in range(ranks.max() + 1)])
-        sigmas = _sigmas(args.gmm_sigmas, len(means),
-                         "need one --gmm-sigmas entry per cluster (or one shared)")
-        covs = [s ** 2 * np.eye(A.shape[1]) for s in sigmas]
+        _, covs = _sigmas(args.gmm_sigmas, len(means), A.shape[1],
+                          "need one --gmm-sigmas entry per cluster (or one shared)")
         gmm = theory.gmm_separation_bound(means, covs, A.shape[0])
         report["gmm_bound"] = {
             "pair_bounds": [[None if math.isnan(x) else x for x in row]

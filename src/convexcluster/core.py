@@ -156,14 +156,13 @@ def pair_from_row_index(p: int, m: int) -> tuple[int, int]:
     total = m * (m - 1) // 2
     if not (1 <= p <= total):
         raise ValueError(f"need 1 <= p <= m(m-1)/2 = {total}, got p={p}, m={m}")
-    # solve q = i(2m - i - 1)/2 + (j - i - 1), 0-based, for i, then round
+    # solve q = i(2m - i - 1)/2 + (j - i - 1), 0-based, for i; isqrt floors,
+    # so the estimate is never too small, only too large
     q = p - 1
     disc = (2 * m - 1) ** 2 - 8 * q
     i = (2 * m - 1 - math.isqrt(disc)) // 2
     while i * (2 * m - i - 1) // 2 > q:
         i -= 1
-    while (i + 1) * (2 * m - i - 2) // 2 <= q:
-        i += 1
     return i + 1, q - i * (2 * m - i - 1) // 2 + i + 2
 
 

@@ -34,6 +34,8 @@ class BallModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "centers", np.atleast_2d(np.asarray(self.centers, dtype=float)))
+        if self.centers.shape[1] == 0 or not np.all(np.isfinite(self.centers)):
+            raise ValueError("centers need at least one column and finite entries")
         if self.per_cluster < 1:
             raise ValueError(f"per_cluster must be >= 1, got {self.per_cluster}")
         if self.distribution not in ("uniform_ball", "uniform_sphere"):

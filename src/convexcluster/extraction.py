@@ -173,11 +173,13 @@ class PathResult:
         return bool(np.all(np.diff(self.cluster_counts) <= 0))
 
 
-def _solve_point(A, edges: EdgeSet, cfg: SolverConfig, c: float, merge_tol: float,
+def _solve_point(A, edges: EdgeSet, cfg: SolverConfig, c: float, merge_tol: float | None,
                  init: SolverState | None = None) -> tuple[PathPoint, SolverState]:
-    """Solve at ``c`` and extract its partition."""
+    """Solve at ``c`` and extract its partition at ``merge_tol``, which
+    defaults to 10 * cfg.tol: a solve stopped at tolerance t leaves fused
+    rows about t apart, so the extraction threshold must sit above it."""
     state = admm_solve(A, edges, replace(cfg, c=c), init=init)
-    assign = extract_clusters(state.X, merge_tol)
+    assign = extract_clusters(state.X, 10.0 * cfg.tol if merge_tol is None else merge_tol)
     return PathPoint(c=c, assignment=assign, n_clusters=assign.k, iters=state.iters,
                      converged=state.converged, final_change=state.final_change), state
 
@@ -202,13 +204,8 @@ def regularization_path(A, edges: EdgeSet, c_grid, cfg: SolverConfig,
     stops only once the primal residual is also within ``cfg.tol`` (see
     :func:`admm_solve`), so it does not stop on its start, but it stops at a
     different iterate than a cold solve; ``warm_start=False`` gives the cold
-    solves.  ``merge_tol`` defaults to 10 * cfg.tol:
-    a solve stopped at tolerance t leaves fused rows about t apart, so the
-    extraction threshold must sit above it.
+    solves.  ``merge_tol`` defaults to 10 * cfg.tol (see :func:`_solve_point`).
     """
-    if merge_tol is None:
-        merge_tol = 10.0 * cfg.tol
-
     points = []
     state: SolverState | None = None
     for c in _check_grid(c_grid):
@@ -230,8 +227,6 @@ def find_c_for_k(A, edges: EdgeSet, k: int, cfg: SolverConfig, c_grid,
     before it.  Returns None when no such c is found, e.g. when two fusion
     events coincide.
     """
-    if merge_tol is None:
-        merge_tol = 10.0 * cfg.tol
     c_grid = _check_grid(c_grid)
     counts = np.empty(c_grid.size, dtype=int)
     for i, c in enumerate(c_grid):

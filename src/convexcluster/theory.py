@@ -54,9 +54,8 @@ def separation_check(A, labels) -> SeparationReport:
     prep = _prepared(A, labels)
     if len(prep.sizes) < 2:
         raise ValueError("separation needs at least 2 clusters")
-    stats = prep.stats
-    return SeparationReport(separated=bool(stats.min_dist > stats.max_dia),
-                            stats=stats, means_distinct=not any(prep.zero_dims.values()))
+    return SeparationReport(separated=prep.separated, stats=prep.stats,
+                            means_distinct=prep.means_distinct)
 
 
 def r_lower_bound(sizes, d: float, diameters) -> float:
@@ -122,9 +121,12 @@ class FeasibilityReport:
 
 
 class _Prepared(NamedTuple):
-    """The r-independent measurements of a labeled dataset.  ``within_d2`` is
-    NaN when every cluster is a singleton, ``cross_d2`` is None unless K = 2,
-    and ``min_abs_tau`` is +inf when every tau is zero."""
+    """The r-independent measurements of a labeled dataset and the facts
+    derived from them: ``eps``, ``dist_max`` (the max pairwise cluster
+    distance), ``r_min``, ``separated``, ``means_distinct`` and ``degenerate``
+    (every tau is zero).  ``within_d2`` is NaN when every cluster is a
+    singleton, ``cross_d2`` is None unless K = 2, ``min_abs_tau`` is +inf when
+    degenerate, and ``dist_max`` and ``r_min`` are NaN when K < 2."""
 
     sizes: tuple[int, ...]
     stats: SeparationStats
@@ -133,6 +135,12 @@ class _Prepared(NamedTuple):
     tau_by_pair: dict[tuple[int, int], np.ndarray]
     zero_dims: dict[tuple[int, int], tuple[int, ...]]
     min_abs_tau: float
+    eps: np.ndarray
+    dist_max: float
+    r_min: float
+    separated: bool
+    means_distinct: bool
+    degenerate: bool
 
 
 def _prepared(A, labels) -> _Prepared:
@@ -147,6 +155,11 @@ def _prepared(A, labels) -> _Prepared:
     means = [g.mean(axis=0) for g in groups]
     tau_by_pair = {(k, l): means[k] - means[l]
                    for k in range(len(means)) for l in range(k + 1, len(means))}
+    zero_dims = {p: tuple(int(q) for q in np.nonzero(t == 0)[0]) for p, t in tau_by_pair.items()}
+    min_abs_tau = min((float(np.abs(t[t != 0]).min()) for t in tau_by_pair.values() if t.any()),
+                      default=math.inf)
+    K, m, n = len(sizes), sum(sizes), np.asarray(sizes, dtype=np.int64)
+    d = float(stats.pairwise_dist[np.triu_indices(K, k=1)].max()) if K >= 2 else math.nan
     return _Prepared(
         sizes=sizes, stats=stats,
         within_d2=stats.max_dia ** 2 if max(sizes) >= 2 else math.nan,
@@ -154,10 +167,11 @@ def _prepared(A, labels) -> _Prepared:
         # round differently, and sqrt(cross_d2.min()) differs from it in the
         # last bit on some inputs (a 2-cluster ball model with m = 20, seed 0)
         cross_d2=cdist(groups[0], groups[1], "sqeuclidean") if len(groups) == 2 else None,
-        tau_by_pair=tau_by_pair,
-        zero_dims={p: tuple(int(q) for q in np.nonzero(t == 0)[0]) for p, t in tau_by_pair.items()},
-        min_abs_tau=min((float(np.abs(t[t != 0]).min()) for t in tau_by_pair.values() if t.any()),
-                        default=math.inf),
+        tau_by_pair=tau_by_pair, zero_dims=zero_dims, min_abs_tau=min_abs_tau,
+        eps=(8.0 * (m - n) * (n - 1) + 4.0 * n ** 2) / (m * n.astype(float) ** 2),
+        dist_max=d, r_min=r_lower_bound(sizes, d, stats.diameters) if K >= 2 else math.nan,
+        separated=bool(stats.min_dist > stats.max_dia),
+        means_distinct=not any(zero_dims.values()), degenerate=min_abs_tau == math.inf,
     )
 
 
@@ -172,13 +186,6 @@ def _formulas(prep: _Prepared, two: bool | None) -> bool:
     return K == 2 if two is None else two
 
 
-def _r_min(prep: _Prepared) -> tuple[float, float]:
-    """(d, bandwidth lower bound), with d the max pairwise cluster distance:
-    for K = 2 that is the one cross-cluster distance."""
-    d = float(prep.stats.pairwise_dist[np.triu_indices(len(prep.sizes), k=1)].max())
-    return d, r_lower_bound(prep.sizes, d, prep.stats.diameters)
-
-
 class _Bounds(NamedTuple):
     """The closed forms at one bandwidth r (the 2-cluster ones if ``two``)."""
 
@@ -186,7 +193,6 @@ class _Bounds(NamedTuple):
     gmin_w: float
     gmax_b: float
     rho: float | None
-    eps: np.ndarray
     lower: float
     upper: float
     feasible: bool
@@ -210,25 +216,23 @@ def _bounds(prep: _Prepared, r: float, two: bool | None) -> _Bounds:
     else:
         gmax_b, rho = float(np.exp(-r * prep.stats.min_dist ** 2)), None
         upper = prep.min_abs_tau / (3.0 * m * gmax_b) if gmax_b > 0 else math.inf
-    degenerate = prep.min_abs_tau == math.inf
-    if degenerate:
+    if prep.degenerate:
         upper = math.nan
 
     # kappa_lower = max_i eps_i dia_i / (gmin_w - 4 (m - m_i)/m_i gmax_b).  Every
     # denominator must be positive (sign condition); without within pairs
     # (gmin_w NaN) the bound is 0.
     n = np.asarray(prep.sizes, dtype=np.int64)
-    eps = (8.0 * (m - n) * (n - 1) + 4.0 * n ** 2) / (m * n.astype(float) ** 2)
     denom = gmin_w - 4.0 * (m - n) / n * gmax_b
     sign_ok = not np.any(denom <= 0)
     if math.isnan(gmin_w):
         lower = 0.0
     elif sign_ok:
-        lower = max(0.0, float((eps * prep.stats.diameters / denom).max()))
+        lower = max(0.0, float((prep.eps * prep.stats.diameters / denom).max()))
     else:
         lower = math.inf
-    return _Bounds(two, gmin_w, gmax_b, rho, eps, lower, upper,
-                   feasible=bool(sign_ok and not degenerate and lower < upper))
+    return _Bounds(two, gmin_w, gmax_b, rho, lower, upper,
+                   feasible=bool(sign_ok and not prep.degenerate and lower < upper))
 
 
 def _report(prep: _Prepared, r: float, two: bool | None = None,
@@ -238,31 +242,26 @@ def _report(prep: _Prepared, r: float, two: bool | None = None,
     if b is None:
         b = _bounds(prep, r, two)
     two = b.two
-    K = len(prep.sizes)
     stats = prep.stats
-    means_distinct = not any(prep.zero_dims.values())
-    degenerate = prep.min_abs_tau == math.inf
-    dist_max, r_min = _r_min(prep)
     if two:
-        notes = [(degenerate, "all tau_q are zero: centered cluster means coincide, "
-                              "upper bound undefined")]
+        notes = [(prep.degenerate, "all tau_q are zero: centered cluster means coincide, "
+                                   "upper bound undefined")]
     else:
-        notes = [(not means_distinct, "cluster means are not distinct in every dimension: "
-                                      "theorem hypothesis unmet"),
-                 (degenerate, "all tau vanish: no usable dimension for the upper bound"),
-                 (dist_max != stats.min_dist, "bandwidth bound uses d = max pairwise cluster "
-                  "distance; the separation condition uses the min (both reported)")]
+        notes = [(not prep.means_distinct, "cluster means are not distinct in every dimension: "
+                                           "theorem hypothesis unmet"),
+                 (prep.degenerate, "all tau vanish: no usable dimension for the upper bound"),
+                 (prep.dist_max != stats.min_dist, "bandwidth bound uses d = max pairwise "
+                  "cluster distance; the separation condition uses the min (both reported)")]
     return FeasibilityReport(
-        n_clusters=K, sizes=prep.sizes, r=float(r), r_min=r_min,
+        n_clusters=len(prep.sizes), sizes=prep.sizes, r=float(r), r_min=prep.r_min,
         kappa_lower=b.lower, kappa_upper=b.upper, feasible=b.feasible,
-        separated=bool(stats.min_dist > stats.max_dia),
-        dist_min=stats.min_dist, dist_max=dist_max,
+        separated=prep.separated, dist_min=stats.min_dist, dist_max=prep.dist_max,
         diameters=tuple(float(x) for x in stats.diameters),
-        eps=tuple(float(x) for x in b.eps),
+        eps=tuple(float(x) for x in prep.eps),
         gamma_min_within=b.gmin_w, gamma_max_between=b.gmax_b, rho=b.rho,
         tau=prep.tau_by_pair[(0, 1)] if two else None,
         tau_by_pair=prep.tau_by_pair, zero_tau_dims=prep.zero_dims,
-        means_distinct=means_distinct, degenerate=degenerate,
+        means_distinct=prep.means_distinct, degenerate=prep.degenerate,
         notes=tuple(text for applies, text in notes if applies),
     )
 
@@ -387,10 +386,9 @@ def search_feasible_r(A, labels, r_start: float | None = None) -> FeasibilityRep
     """
     prep = _prepared(A, labels)
     two = _formulas(prep, None)
-    r_min = _r_min(prep)[1]
-    if not math.isfinite(r_min):
+    if not math.isfinite(prep.r_min):
         raise ValueError("no finite bandwidth bound: separation condition fails")
-    r = r_start if r_start is not None else max(r_min * 1.05, 1e-3)
+    r = r_start if r_start is not None else max(prep.r_min * 1.05, 1e-3)
     for _ in range(_R_TRIES):
         b = _bounds(prep, r, two)
         if b.feasible:

@@ -629,3 +629,84 @@ def test_config_switch_values(unconverged_path, tmp_path, capsys, value, cold):
     _, from_flags, _ = run_cli(unconverged_path + (["--cold"] if cold else []), capsys)
     assert from_config == from_flags
     assert _counts(from_config) == ([4, 4, 4, 4] if cold else [4, 4, 3, 4])
+
+
+@pytest.mark.parametrize("centers", [["nan,0", "4,0"], ["inf,0"]], ids=["nan", "inf"])
+def test_generate_ball_with_nonfinite_centers_exits_2(tmp_path, capsys, centers):
+    # rejected before sampling: an input error, with no traceback and no CSV
+    out = tmp_path / "n.csv"
+    code, stdout, err = run_cli(["generate", "ball", "--centers", *centers, "-o", str(out)],
+                                capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: centers need at least one column and finite entries\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["generate", "ball", "--centers", "0,0", "1", "-o", "{out}"], "--centers"),
+    (["generate", "gmm", "--means", "0,0", "1", "-o", "{out}"], "--means"),
+    (["feasibility", "{data}", "--centers", "0,0", "4,0", "1"], "--centers"),
+], ids=["ball-centers", "gmm-means", "feasibility-centers"])
+def test_vectors_of_unequal_length_exit_2(ball_csv, tmp_path, capsys, args, flag):
+    out = tmp_path / "g.csv"
+    argv = [a.format(data=ball_csv, out=out) for a in args]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    lengths = "[2, 1]" if args[0] == "generate" else "[2, 2, 1]"
+    assert err == f"error: {flag}: every vector needs the same length, got lengths {lengths}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads, message", [
+    ("x", "CONVEXCLUSTER_THREADS must be an integer, got 'x'"),
+    ("0", "CONVEXCLUSTER_THREADS must be >= 1, got 0"),
+])
+def test_bad_thread_cap_exits_2(ball_csv, capsys, monkeypatch, threads, message):
+    monkeypatch.setenv(cli.ENV_THREADS, threads)
+    code, stdout, err = run_cli(["cluster", str(ball_csv), "--c", "1"], capsys)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["cluster", "{data}", "--knn", "abc", "--c", "1"],
+     "--knn must be an integer or 'full', got 'abc'"),
+    (["cluster", "{data}", "--config", "{missing}"], "config file not found: {missing}"),
+    (["generate", "ball", "-o", "{out}"], "generate ball requires --centers"),
+    (["generate", "gmm", "-o", "{out}"], "generate gmm requires --means (or --paper)"),
+    (["cluster", "{data}"], "--c is required unless --auto-params is given"),
+    (["cluster", "{data}", "--auto-r", "--c", "1"],
+     "--auto-r needs labeled data (--label-column)"),
+    (["path", "{data}", "--c-min", "1", "--c-max", "1"],
+     "need 0 < --c-min < --c-max for a geometric grid"),
+    (["bench", "{data}", "--methods", "convex,bogus"],
+     "unknown methods: ['bogus'] (choose from ['convex', 'hc-average', 'hc-single', "
+     "'kmeanspp', 'lloyd'])"),
+    (["bench", "{data}", "--methods", "convex", "--c-grid", "1e-3,2e-3"],
+     "no c on the grid yields 3 clusters; widen --c-min/--c-max"),
+], ids=["knn", "config-missing", "ball-no-centers", "gmm-no-means", "cluster-no-c",
+        "auto-r-unlabeled", "path-empty-grid", "bench-bad-method", "bench-no-c-on-grid"])
+def test_input_errors_exit_2(ball_csv, tmp_path, capsys, args, message):
+    names = {"data": ball_csv, "out": tmp_path / "g.csv", "missing": tmp_path / "none.cfg"}
+    code, stdout, err = run_cli([a.format(**names) for a in args], capsys)
+    assert (code, stdout, err) == (2, "", f"error: {message.format(**names)}\n")
+    assert not names["out"].exists()
+
+
+def test_config_line_without_equals_exits_2(ball_csv, tmp_path, capsys):
+    # comment, blank and whitespace-only lines are skipped; line numbers count them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# defaults\n\n   \nknn\n", encoding="utf-8")
+    code, stdout, err = run_cli(["cluster", str(ball_csv), "--config", str(cfg)], capsys)
+    assert (code, stdout, err) == (2, "", f"error: {cfg}:4: expected key=value, got 'knn'\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty CSV"),
+    ("\n\n", "empty CSV"),
+    ("x0,x1,label\n", "header but no data rows"),
+], ids=["empty", "blank-lines", "header-only"])
+def test_feasibility_on_a_csv_without_rows_exits_2(tmp_path, capsys, text, message):
+    data = tmp_path / "d.csv"
+    data.write_text(text, encoding="utf-8")
+    code, stdout, err = run_cli(["feasibility", str(data)], capsys)
+    assert (code, stdout, err) == (2, "", f"error: {data}: {message}\n")

@@ -194,3 +194,22 @@ def test_csv_cells_parse_as_float_does(tmp_path):
     path.write_text("x0,label,x1\n1,a,2\n3,b,\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"non-numeric feature cell '' in data row 2"):
         load_csv(path, label_column="label")
+
+
+@pytest.mark.parametrize("centers", [np.zeros((1, 0)), [[math.nan, 0.0], [4.0, 0.0]],
+                                     [[math.inf, 0.0]]], ids=["no-column", "nan", "inf"])
+def test_ball_spec_rejects_centers_without_columns_or_finite_entries(centers):
+    # with no column the direction sampler never returns, and non-finite
+    # centers fail the sampler's support check
+    with pytest.raises(ValueError, match="at least one column and finite entries"):
+        BallModelSpec(centers=centers, per_cluster=3)
+
+
+def test_csv_label_index_out_of_range(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("1,2,0\n3,4,1\n", encoding="utf-8")
+    for index in (3, -4):
+        with pytest.raises(ValueError, match=rf"label column index {index} out of range"):
+            load_csv(path, label_column=index)
+    # the bounds are inclusive of the first column from either end
+    assert load_csv(path, label_column=-3)[1].tolist() == [1, 3]
