@@ -25,7 +25,7 @@ import numpy as np
 
 from . import datagen, theory
 from .baselines import hierarchical, kmeanspp_init, lloyd
-from .core import first_occurrence_ranks
+from .core import _check_number, first_occurrence_ranks
 from .extraction import (_solve_point, canonical_labels, extract_clusters, find_c_for_k,
                          regularization_path)
 from .metrics import rand_index
@@ -46,9 +46,7 @@ def _threads() -> int:
         val = int(raw)
     except ValueError:
         raise CliError(f"{ENV_THREADS} must be an integer, got {raw!r}")
-    if val < 1:
-        raise CliError(f"{ENV_THREADS} must be >= 1, got {val}")
-    return val
+    return _check_number(ENV_THREADS, val, 1)
 
 
 # ---------------------------------------------------------------- shared I/O
@@ -122,10 +120,7 @@ def _sigmas(values: list[float], K: int, n: int, message: str):
         values = values * K
     if len(values) != K:
         raise CliError(message)
-    for sigma in values:
-        if not sigma > 0:
-            raise CliError(f"sigma must be > 0, got {sigma}")
-    return values, [s ** 2 * np.eye(n) for s in values]
+    return values, [_check_number("sigma", s, 0, strict=True) ** 2 * np.eye(n) for s in values]
 
 
 def _parse_knn(text: str):
@@ -289,7 +284,7 @@ def cmd_cluster(args) -> int:
 def _c_grid(args) -> np.ndarray:
     if args.c_grid:
         return np.array(args.c_grid)
-    if args.c_min <= 0 or args.c_max <= args.c_min:
+    if not 0 < args.c_min < args.c_max < math.inf:
         raise CliError("need 0 < --c-min < --c-max for a geometric grid")
     return np.geomspace(args.c_min, args.c_max, args.c_steps)
 
@@ -330,9 +325,8 @@ def _bench_task(A, truth, k, inits, task):
 def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     for flag in ("k", "repeats", "inits"):
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise CliError(f"--{flag} must be >= 1, got {value}")
+        if getattr(args, flag) is not None:
+            _check_number(f"--{flag}", getattr(args, flag), 1)
     A, truth, source = _load_dataset(args, "bench needs truth labels (--label-column)")
     k = args.k if args.k is not None else int(np.unique(truth).size)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]

@@ -42,6 +42,15 @@ def check_data(A) -> np.ndarray:
     return A
 
 
+def _check_number(name: str, value, bound, strict: bool = False):
+    """``value`` if it is a finite number >= ``bound`` (> if ``strict``), else ValueError."""
+    if value < bound or (strict and value == bound):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {bound}, got {value}")
+    if not value < math.inf:  # NaN and +inf; -inf fails the bound above
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _check_covariance(S) -> tuple[np.ndarray, np.ndarray]:
     """Check that a covariance is symmetric and positive semidefinite (up to
     rounding); return its eigendecomposition (eigenvalues, eigenvectors)."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RNG_ALGORITHM, _check_covariance, check_data, first_occurrence_ranks, rng
+from .core import (RNG_ALGORITHM, _check_covariance, _check_number, check_data,
+                   first_occurrence_ranks, rng)
 
 __all__ = [
     "RNG_ALGORITHM", "BallModelSpec", "GmmSpec", "stochastic_ball",
@@ -36,8 +37,7 @@ class BallModelSpec:
         object.__setattr__(self, "centers", np.atleast_2d(np.asarray(self.centers, dtype=float)))
         if self.centers.shape[1] == 0 or not np.all(np.isfinite(self.centers)):
             raise ValueError("centers need at least one column and finite entries")
-        if self.per_cluster < 1:
-            raise ValueError(f"per_cluster must be >= 1, got {self.per_cluster}")
+        _check_number("per_cluster", self.per_cluster, 1)
         if self.distribution not in ("uniform_ball", "uniform_sphere"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
@@ -99,8 +99,10 @@ class GmmSpec:
             raise ValueError("mixture weights must be nonnegative")
         if mu.shape[0] != w.size or len(covs) != w.size:
             raise ValueError("need one mean and one covariance per component")
-        if self.m < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.m}")
+        for name, arrays in (("weights", [w]), ("means", [mu]), ("covariances", covs)):
+            if not all(np.all(np.isfinite(a)) for a in arrays):
+                raise ValueError(f"mixture {name} must be finite")
+        _check_number("sample count", self.m, 1)
 
 
 def _cov_sqrt(S: np.ndarray) -> np.ndarray:
@@ -129,8 +131,7 @@ def paper_gaussians(sigma: float, seed: int = 0) -> tuple[np.ndarray, np.ndarray
     Returns (data, labels, r) with the recommended bandwidth
     r = 0.02 (2 sigma^2 + 5 sigma).
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _check_number("sigma", sigma, 0, strict=True)
     n, per = 100, 10
     gen = rng(seed)
     mus = np.array([0.0, 3.0, -3.0])
@@ -188,10 +189,12 @@ def _is_number(cell: str) -> bool:
 def load_csv(path, label_column: str | int | None = None):
     """Read a rectangular numeric CSV; rows are observations.
 
-    ``label_column`` (a header name or column index) is extracted as integer
-    truth labels and excluded from the features.  Ragged rows, non-numeric
-    feature cells, and a missing label column are errors; labels that are not
-    finite numbers map to dense ids by first occurrence.  Returns
+    ``label_column`` (a header name, else a column index, given as an int or
+    a string such as ``"2"``) is extracted as integer truth labels and
+    excluded from the features.  Integer labels (``1`` and ``1.0`` alike) keep
+    their values; a column with any other value (strings, fractions, inf, nan,
+    beyond int64) maps to dense ids by first occurrence.  Ragged rows,
+    non-numeric feature cells, and a missing label column are errors.  Returns
     (data, labels_or_None, header_or_None).
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -211,22 +214,24 @@ def load_csv(path, label_column: str | int | None = None):
 
     labels = None
     if label_column is not None:
-        if isinstance(label_column, str):
-            if header is None or label_column not in header:
-                raise ValueError(f"{path}: label column {label_column!r} not found")
+        if header is not None and label_column in header:
             label_idx = header.index(label_column)
         else:
-            label_idx = int(label_column)
-            ncol = len(rows[0])
-            if not (-ncol <= label_idx < ncol):
+            try:
+                label_idx = int(label_column)
+            except ValueError:
+                raise ValueError(f"{path}: label column {label_column!r} not found") from None
+            if not -len(rows[0]) <= label_idx < len(rows[0]):
                 raise ValueError(f"{path}: label column index {label_idx} out of range")
         cells = [row.pop(label_idx).strip() for row in rows]
         if header is not None:
             header.pop(label_idx)
         try:
-            labels = np.array([int(float(s)) for s in cells], dtype=np.int64)
-        except (ValueError, OverflowError):  # strings, nan, inf: dense ids by first occurrence
-            labels = first_occurrence_ranks(cells)
+            values = [float(s) for s in cells]
+            integral = all(v.is_integer() and -2.0**63 <= v < 2.0**63 for v in values)
+        except ValueError:  # strings
+            values, integral = cells, False
+        labels = np.array(values, dtype=np.int64) if integral else first_occurrence_ranks(values)
 
     try:
         A = np.array(rows, dtype=float)  # parses each cell as float() does

@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import (_TREE_MARGIN, _ball_pairs, _components, check_data, first_occurrence_ranks,
-                   pair_sqdist)
+from .core import (_TREE_MARGIN, _ball_pairs, _check_number, _components, check_data,
+                   first_occurrence_ranks, pair_sqdist)
 from .solver import SolverConfig, SolverState, admm_solve
 from .weights import EdgeSet
 
@@ -96,8 +96,7 @@ def extract_clusters(X, merge_tol: float = 1e-8) -> Assignment:
     so 3 fused clusters of 1000 rows cost about as much as 3000 separate rows.
     """
     X = check_data(X)
-    if merge_tol < 0:
-        raise ValueError(f"merge_tol must be >= 0, got {merge_tol}")
+    _check_number("merge_tol", merge_tol, 0)
     X, position = _distinct_rows(X)
     return canonical_labels(_linked_components(X, merge_tol)[position])
 
@@ -190,6 +189,8 @@ def _check_grid(c_grid) -> np.ndarray:
         raise ValueError("c grid must be a non-empty 1-d sequence")
     if np.any(c_grid < 0):
         raise ValueError("c grid values must be >= 0")
+    if not np.all(c_grid < np.inf):  # NaN and +inf; -inf fails the bound above
+        raise ValueError(f"c grid values must be finite, got {c_grid.tolist()}")
     if c_grid.size > 1 and np.any(np.diff(c_grid) <= 0):
         raise ValueError("c grid must be strictly ascending")
     return c_grid

@@ -88,7 +88,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import _components, _incidence_transpose, check_data
+from .core import _check_number, _components, _incidence_transpose, check_data
 from .weights import EdgeSet
 
 PAPER = "paper"
@@ -124,14 +124,10 @@ class SolverConfig:
     convention: str = PAPER
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError(f"regularization c must be >= 0, got {self.c}")
-        if self.nu <= 0:
-            raise ValueError(f"penalty nu must be > 0, got {self.nu}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_number("regularization c", self.c, 0)
+        _check_number("penalty nu", self.nu, 0, strict=True)
+        _check_number("tol", self.tol, 0, strict=True)
+        _check_number("max_iter", self.max_iter, 1)
         _fidelity_factor(self.convention)
 
 

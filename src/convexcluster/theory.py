@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import (_check_covariance, _check_labels, center_columns, check_data,
+from .core import (_check_covariance, _check_labels, _check_number, center_columns, check_data,
                    first_occurrence_ranks)
 from .metrics import SeparationStats, cluster_geometry
 
@@ -202,8 +202,7 @@ def _bounds(prep: _Prepared, r: float, two: bool | None) -> _Bounds:
     """Kernel extremes and the c interval at bandwidth r, by the formulas
     :func:`_formulas` picks for ``two``.  The bandwidth scan and every report
     evaluate them here, so they agree bit for bit."""
-    if r < 0:
-        raise ValueError(f"bandwidth r must be >= 0, got {r}")
+    _check_number("bandwidth r", r, 0)
     two = _formulas(prep, two)
     m = sum(prep.sizes)
     gmin_w = float(np.exp(-r * prep.within_d2))
@@ -329,8 +328,7 @@ def gmm_separation_bound(means, covariances, m: int) -> GmmSeparationReport:
     means = np.asarray(means, dtype=float)
     if means.ndim != 2 or means.shape[0] < 2:
         raise ValueError("need at least 2 component means")
-    if m < 2:
-        raise ValueError(f"sample count m must be >= 2, got {m}")
+    _check_number("sample count m", m, 2)
     K = means.shape[0]
     covs = [np.asarray(S, dtype=float) for S in covariances]
     if len(covs) != K:
@@ -400,8 +398,7 @@ def search_feasible_r(A, labels, r_start: float | None = None) -> FeasibilityRep
 def candidate_c_values(report: FeasibilityReport, count: int = 5) -> np.ndarray:
     """Log-spaced regularization candidates strictly inside the interval,
     ordered from the geometric middle outwards."""
-    if count < 1:
-        raise ValueError(f"candidate count must be >= 1, got {count}")
+    _check_number("candidate count", count, 1)
     if not report.feasible:
         raise ValueError("report is infeasible: no c interval to sample")
     hi = report.kappa_upper

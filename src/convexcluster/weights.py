@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
-from .core import _ball_pairs, all_pairs, check_data, pair_sqdist
+from .core import _ball_pairs, _check_number, all_pairs, check_data, pair_sqdist
 
 
 @dataclass
@@ -59,8 +59,7 @@ def gaussian_weights(A, r: float) -> np.ndarray:
     may underflow to exactly 0.0 for very large ``r * dist^2``.
     """
     A = check_data(A)
-    if r < 0:
-        raise ValueError(f"kernel bandwidth r must be >= 0, got {r}")
+    _check_number("kernel bandwidth r", r, 0)
     d2 = pdist(A, metric="sqeuclidean")
     return np.exp(-r * d2)
 
@@ -103,8 +102,7 @@ def gaussian_edges(A, r: float, knn: int | str = 5) -> EdgeSet:
     bit for bit.  ``knn="full"`` keeps all C(m,2) pairs and costs O(m^2).
     """
     A = check_data(A)
-    if r < 0:
-        raise ValueError(f"kernel bandwidth r must be >= 0, got {r}")
+    _check_number("kernel bandwidth r", r, 0)
     if knn == "full":
         return EdgeSet(m=A.shape[0], pairs=all_pairs(A.shape[0]), weights=gaussian_weights(A, r))
     pairs, d2 = _knn_pairs(A, int(knn))

@@ -710,3 +710,61 @@ def test_feasibility_on_a_csv_without_rows_exits_2(tmp_path, capsys, text, messa
     data.write_text(text, encoding="utf-8")
     code, stdout, err = run_cli(["feasibility", str(data)], capsys)
     assert (code, stdout, err) == (2, "", f"error: {data}: {message}\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["feasibility", "{data}", "--r", "nan"], "bandwidth r must be finite, got nan"),
+    (["cluster", "{data}", "--c", "100", "--nu", "nan"], "penalty nu must be finite, got nan"),
+    (["cluster", "{data}", "--c", "100", "--tol", "nan"], "tol must be finite, got nan"),
+    (["cluster", "{data}", "--c", "100", "--merge-tol", "nan"],
+     "merge_tol must be finite, got nan"),
+    (["cluster", "{data}", "--c", "inf"], "regularization c must be finite, got inf"),
+    (["cluster", "{data}", "--c", "1", "--r", "inf"],
+     "kernel bandwidth r must be finite, got inf"),
+    (["path", "{data}", "--c-grid", "nan"], "c grid values must be finite, got [nan]"),
+    (["path", "{data}", "--c-grid", "1,inf"], "c grid values must be finite, got [1.0, inf]"),
+    (["path", "{data}", "--c-min", "nan"], "need 0 < --c-min < --c-max for a geometric grid"),
+    (["path", "{data}", "--c-max", "inf"], "need 0 < --c-min < --c-max for a geometric grid"),
+    (["generate", "paper-gaussians", "--sigma", "nan", "-o", "{out}"],
+     "sigma must be finite, got nan"),
+    (["feasibility", "{data}", "--gmm-sigmas", "inf"], "sigma must be finite, got inf"),
+    (["generate", "gmm", "--means", "nan,0", "3,3", "-o", "{out}"],
+     "mixture means must be finite"),
+    (["generate", "gmm", "--means", "0,0", "3,3", "--weights", "nan,1", "-o", "{out}"],
+     "mixture weights must be finite"),
+], ids=["feasibility-r", "cluster-nu", "cluster-tol", "cluster-merge-tol", "cluster-c-inf",
+        "cluster-r-inf", "path-c-grid", "path-c-grid-inf", "path-c-min", "path-c-max-inf",
+        "paper-gaussians-sigma", "feasibility-gmm-sigmas", "gmm-means", "gmm-weights"])
+def test_non_finite_numbers_exit_2(ball_csv, tmp_path, capsys, args, message):
+    # NaN and +-inf are input errors that name the parameter, never a
+    # "feasible" report, a traceback or a run to max_iter
+    out = tmp_path / "g.csv"
+    code, stdout, err = run_cli([a.format(data=ball_csv, out=out) for a in args], capsys)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_headerless_csv_takes_a_label_column_index(ball_csv, tmp_path, capsys):
+    # --label-column arrives as a string; one that names no header column
+    # and parses as an integer is a column index
+    headerless = tmp_path / "nh.csv"
+    headerless.write_text("".join(ball_csv.read_text(encoding="utf-8").splitlines(True)[1:]),
+                          encoding="utf-8")
+    reports = []
+    for path, column in ((ball_csv, "label"), (headerless, "2"), (headerless, "-1")):
+        code, stdout, _ = run_cli(["feasibility", str(path), "--label-column", column], capsys)
+        assert code == 0
+        report = json.loads(stdout)
+        assert report.pop("input")["label_column"] == column
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["interval"]["n_clusters"] == 3
+
+
+def test_fractional_labels_are_distinct_clusters(tmp_path, capsys):
+    # 0.2 and 0.7 are two labels, not both 0
+    data = tmp_path / "f.csv"
+    data.write_text("x0,label\n0,0.2\n10,0.7\n20,1.4\n30,1.9\n", encoding="utf-8")
+    code, stdout, _ = run_cli(["feasibility", str(data), "--r", "0.1"], capsys)
+    assert code == 0
+    assert json.loads(stdout)["interval"]["n_clusters"] == 4

@@ -1,12 +1,19 @@
+import argparse
 import itertools
+import math
+import os
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.spatial.distance import pdist
 
+from convexcluster import cli, datagen, extraction, solver, theory, weights
 from convexcluster.core import (
+    _check_number,
     all_pairs,
     center_columns,
     check_data,
@@ -190,3 +197,97 @@ def test_pair_sqdist_holds_at_most_two_gathers():
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * pairs.size * 8, peak
+
+
+def _numeric_parameter_sites():
+    """(parameter name as its message gives it, call with one value, error
+    type) for every numeric parameter with a range rule."""
+    A, labels = datagen.stochastic_ball(datagen.BallModelSpec(
+        centers=[[0.0, 0.0], [4.0, 1.0]], per_cluster=5, seed=1))
+    report = theory.search_feasible_r(A, labels)
+    edges = weights.gaussian_edges(A, 1.0, knn="full")
+    means, covs = [[0.0, 0.0], [4.0, 1.0]], [np.eye(2), np.eye(2)]
+
+    def bench(flag):
+        counts = {"k": None, "repeats": 1, "inits": 1}
+        return lambda v: cli.cmd_bench(argparse.Namespace(**{**counts, flag: v}))
+
+    def c_grid(flag):
+        limits = {"c_grid": None, "c_min": 1.0, "c_max": 10.0, "c_steps": 3}
+        return lambda v: cli._c_grid(argparse.Namespace(**{**limits, flag: v}))
+
+    def threads(v):
+        with mock.patch.dict(os.environ, {cli.ENV_THREADS: str(v)}):
+            cli._threads()
+
+    return {
+        "solver-c": ("regularization c", lambda v: solver.SolverConfig(c=v), ValueError),
+        "solver-nu": ("penalty nu", lambda v: solver.SolverConfig(c=1.0, nu=v), ValueError),
+        "solver-tol": ("tol", lambda v: solver.SolverConfig(c=1.0, tol=v), ValueError),
+        "solver-max_iter": ("max_iter", lambda v: solver.SolverConfig(c=1.0, max_iter=v),
+                            ValueError),
+        "gaussian_weights": ("kernel bandwidth r", lambda v: weights.gaussian_weights(A, v),
+                             ValueError),
+        "gaussian_edges": ("kernel bandwidth r", lambda v: weights.gaussian_edges(A, v),
+                           ValueError),
+        "c_interval_two": ("bandwidth r", lambda v: theory.c_interval_two(A, labels, v),
+                           ValueError),
+        "c_interval_k": ("bandwidth r", lambda v: theory.c_interval_k(A, labels, v), ValueError),
+        "feasibility_report": ("bandwidth r",
+                               lambda v: theory.feasibility_report(A, labels, v), ValueError),
+        "search_feasible_r": ("bandwidth r",
+                              lambda v: theory.search_feasible_r(A, labels, r_start=v),
+                              ValueError),
+        "gmm_separation_bound": ("sample count m",
+                                 lambda v: theory.gmm_separation_bound(means, covs, v),
+                                 ValueError),
+        "candidate_c_values": ("candidate count",
+                               lambda v: theory.candidate_c_values(report, count=v), ValueError),
+        "extract_clusters": ("merge_tol", lambda v: extraction.extract_clusters(A, v),
+                             ValueError),
+        "c_grid": ("c grid values", lambda v: extraction.regularization_path(
+            A, edges, [1.0, v], solver.SolverConfig(c=0.0)), ValueError),
+        "ball-per_cluster": ("per_cluster",
+                             lambda v: datagen.BallModelSpec(centers=means, per_cluster=v),
+                             ValueError),
+        "gmm-m": ("sample count", lambda v: datagen.GmmSpec(
+            weights=[0.5, 0.5], means=means, covariances=covs, m=v), ValueError),
+        "paper_gaussians": ("sigma", lambda v: datagen.paper_gaussians(v), ValueError),
+        "cli-sigmas": ("sigma", lambda v: cli._sigmas([1.0, v], 2, 2, "two sigmas"),
+                       ValueError),
+        "cli-threads": (cli.ENV_THREADS, threads, cli.CliError),
+        "cli-k": ("--k", bench("k"), ValueError),
+        "cli-repeats": ("--repeats", bench("repeats"), ValueError),
+        "cli-inits": ("--inits", bench("inits"), ValueError),
+        "cli-c_min": ("--c-min", c_grid("c_min"), cli.CliError),
+        "cli-c_max": ("--c-max", c_grid("c_max"), cli.CliError),
+    }
+
+
+_SITES = _numeric_parameter_sites()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("site", list(_SITES))
+def test_numeric_parameters_reject_non_finite_values(site, value):
+    # the thread cap is parsed as an integer, so a non-finite value is not
+    # one; every other site goes through core's one range rule (or, for the
+    # two grids, a compound test that excludes NaN and +-inf)
+    name, call, error = _SITES[site]
+    with pytest.raises(error, match=re.escape(name)):
+        call(value)
+
+
+def test_check_number_messages():
+    assert _check_number("count", 3, 1) == 3
+    assert _check_number("width", 1e-300, 0, strict=True) == 1e-300
+    for value, strict, message in [
+        (0.5, False, "count must be >= 1, got 0.5"),
+        (1, True, "count must be > 1, got 1"),
+        (-math.inf, False, "count must be >= 1, got -inf"),
+        (math.nan, False, "count must be finite, got nan"),
+        (math.inf, True, "count must be finite, got inf"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            _check_number("count", value, 1, strict=strict)
+        assert str(info.value) == message

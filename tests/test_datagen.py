@@ -213,3 +213,49 @@ def test_csv_label_index_out_of_range(tmp_path):
             load_csv(path, label_column=index)
     # the bounds are inclusive of the first column from either end
     assert load_csv(path, label_column=-3)[1].tolist() == [1, 3]
+
+
+def test_csv_label_column_given_as_a_string_index(tmp_path):
+    # the CLI passes --label-column as a string: one that names no header
+    # column and parses as an integer is a column index
+    path = tmp_path / "d.csv"
+    path.write_text("1,2,0\n3,4,1\n", encoding="utf-8")
+    for column in ("2", "-1"):
+        A, labels, header = load_csv(path, label_column=column)
+        assert A.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert labels.tolist() == [0, 1] and header is None
+    with pytest.raises(ValueError, match="label column index 3 out of range"):
+        load_csv(path, label_column="3")
+    # a header name wins over the index it would parse as
+    path.write_text("2,x,y\n0,1,5\n1,3,6\n", encoding="utf-8")
+    A, labels, header = load_csv(path, label_column="2")
+    assert labels.tolist() == [0, 1] and header == ["x", "y"]
+    with pytest.raises(ValueError, match="label column 'z' not found"):
+        load_csv(path, label_column="z")
+
+
+@pytest.mark.parametrize("cells, expected", [
+    (["0.2", "0.7", "1.4", "1.9"], [0, 1, 2, 3]),
+    (["1", "0.5", "1.0", "0.5"], [0, 1, 0, 1]),
+    (["3", "1.0", "3.0", "-2"], [3, 1, 3, -2]),
+], ids=["fractions", "mixed", "integer-valued"])
+def test_csv_fractional_labels_map_by_value(tmp_path, cells, expected):
+    # integer labels keep their values; a column with any fraction maps to
+    # dense ids by first occurrence of each numeric value
+    path = tmp_path / "l.csv"
+    path.write_text("x0,label\n" + "".join(f"{q},{c}\n" for q, c in enumerate(cells)),
+                    encoding="utf-8")
+    labels = load_csv(path, label_column="label")[1]
+    assert labels.dtype == np.int64 and labels.tolist() == expected
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weights", [math.nan, 1.0]), ("means", [[math.inf, 0.0], [3.0, 3.0]]),
+    ("means", [[0.0, 0.0], [3.0, -math.inf]]),
+    ("covariances", [np.eye(2), np.array([[math.nan, 0.0], [0.0, 1.0]])]),
+], ids=["weights-nan", "means-inf", "means--inf", "covariances-nan"])
+def test_gmm_spec_rejects_non_finite_fields(field, value):
+    fields = {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [3.0, 3.0]],
+              "covariances": [np.eye(2), np.eye(2)], "m": 10}
+    with pytest.raises(ValueError, match=f"mixture {field} must be finite"):
+        GmmSpec(**{**fields, field: value})
