@@ -182,13 +182,13 @@ def cmd_generate(args) -> int:
         spec = {"kind": "ball", "centers": centers.tolist(),
                 "per_cluster": args.per_cluster, "distribution": args.distribution,
                 "seed": args.seed, "delta": delta}
-    elif args.kind == "paper-gaussians" or (args.kind == "gmm" and args.paper):
+    elif args.kind == "paper-gaussians":
         A, labels, r = datagen.paper_gaussians(args.sigma, seed=args.seed)
         spec = {"kind": "paper-gaussians", "sigma": args.sigma, "seed": args.seed,
                 "r_recommended": r}
     else:  # general gmm
         if not args.means:
-            raise CliError("generate gmm requires --means (or --paper)")
+            raise CliError("generate gmm requires --means")
         means = _vectors(args.means, "--means")
         K = means.shape[0]
         sigmas, covs = _sigmas(args.sigmas or [args.sigma], K, means.shape[1],
@@ -233,18 +233,18 @@ def cmd_cluster(args) -> int:
               "r": args.r}
     report: dict = {"command": "cluster", "input": source, "config": config}
 
+    if args.c is None and not args.auto_params:
+        raise CliError("--c is required unless --auto-params is given")
+    if auto:  # the bandwidth comes from theory, searched from --r (0: its default start)
+        feas = search_feasible_r(A, truth, r_start=args.r or None)
+        config["r"] = feas.r
     # candidate c values, tried in order: the first that recovers the truth
     # wins, else the first
     if args.auto_params:
-        feas = search_feasible_r(A, truth, r_start=args.r if args.r > 0 else None)
-        config.update(r=feas.r, knn="full")
+        config["knn"] = "full"
         candidates = [float(c) for c in candidate_c_values(feas, count=args.auto_candidates)]
         report["feasibility"] = feas.to_dict()
-    elif args.c is None:
-        raise CliError("--c is required unless --auto-params is given")
     else:
-        if args.auto_r:  # only the bandwidth comes from theory
-            config["r"] = search_feasible_r(A, truth).r
         candidates = [args.c]
 
     edges = gaussian_edges(A, r=config["r"], knn=config["knn"])
@@ -286,7 +286,7 @@ def _c_grid(args) -> np.ndarray:
         return np.array(args.c_grid)
     if not 0 < args.c_min < args.c_max < math.inf:
         raise CliError("need 0 < --c-min < --c-max for a geometric grid")
-    return np.geomspace(args.c_min, args.c_max, args.c_steps)
+    return np.geomspace(args.c_min, args.c_max, _check_number("--c-steps", args.c_steps, 1))
 
 
 def cmd_path(args) -> int:
@@ -401,9 +401,9 @@ def cmd_feasibility(args) -> int:
         interval = (search_feasible_r(A, truth) if args.r is None
                     else feasibility_report(A, truth, args.r))
     except ValueError as exc:
-        sep = theory.separation_check(A, truth)  # raises first on K < 2
         if args.r is not None:
             raise
+        sep = theory.separation_check(A, truth)
         report["interval_error"] = str(exc)
         separated, means_distinct, stats = sep.separated, sep.means_distinct, sep.stats
         dist_min, diameters = stats.min_dist, stats.diameters.tolist()
@@ -435,8 +435,8 @@ def cmd_feasibility(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--r", type=float, default=0.0, help="Gaussian kernel bandwidth")
+def _add_solver_flags(p: argparse.ArgumentParser, r_help: str = "Gaussian kernel bandwidth"):
+    p.add_argument("--r", type=float, default=0.0, help=r_help)
     p.add_argument("--knn", type=_parse_knn, default=5,
                    help="neighbor count for the edge graph, or 'full'")
     p.add_argument("--nu", type=float, default=1.0, help="ADMM penalty parameter")
@@ -467,8 +467,6 @@ def _generate_flags(g: argparse.ArgumentParser):
     g.add_argument("--weights", type=_parse_vector, default=None,
                    help="mixture weights, comma separated")
     g.add_argument("--m", type=int, default=30)
-    g.add_argument("--paper", action="store_true",
-                   help="use the fixed 30x100 three-cluster benchmark configuration")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--config", default=None)
     g.add_argument("-o", "--output", required=True)
@@ -485,7 +483,8 @@ def _cluster_flags(c: argparse.ArgumentParser):
     c.add_argument("--auto-candidates", type=int, default=5)
     c.add_argument("--labels-out", default=None, help="write a labeled copy of the data")
     c.add_argument("--timing", action="store_true", help="include wall time in the report")
-    _add_solver_flags(c)
+    _add_solver_flags(c, "Gaussian kernel bandwidth; under --auto-params/--auto-r, where the "
+                         "bandwidth search starts (0: the theory's default start)")
 
 
 def _path_flags(p: argparse.ArgumentParser):
@@ -571,7 +570,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args, extra = parser.parse_known_args(argv)
+        args = parser.parse_args(argv)
         if args.config is not None:
             defaults = _load_config_defaults(args.config)
             sub_actions = [a for a in parser._actions
@@ -584,8 +583,6 @@ def main(argv=None) -> int:
             subparser.set_defaults(**{key: _config_value(actions[key], raw)
                                       for key, raw in defaults.items()})
             args = parser.parse_args(argv)
-        elif extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,8 +52,6 @@ def separation_check(A, labels) -> SeparationReport:
     dimension, the extra hypothesis the K-cluster guarantee needs.
     """
     prep = _prepared(A, labels)
-    if len(prep.sizes) < 2:
-        raise ValueError("separation needs at least 2 clusters")
     return SeparationReport(separated=prep.separated, stats=prep.stats,
                             means_distinct=prep.means_distinct)
 
@@ -121,12 +119,12 @@ class FeasibilityReport:
 
 
 class _Prepared(NamedTuple):
-    """The r-independent measurements of a labeled dataset and the facts
-    derived from them: ``eps``, ``dist_max`` (the max pairwise cluster
-    distance), ``r_min``, ``separated``, ``means_distinct`` and ``degenerate``
-    (every tau is zero).  ``within_d2`` is NaN when every cluster is a
-    singleton, ``cross_d2`` is None unless K = 2, ``min_abs_tau`` is +inf when
-    degenerate, and ``dist_max`` and ``r_min`` are NaN when K < 2."""
+    """The r-independent measurements of a labeled dataset of K >= 2 clusters
+    and the facts derived from them: ``eps``, ``dist_max`` (the max pairwise
+    cluster distance), ``r_min``, ``separated``, ``means_distinct`` and
+    ``degenerate`` (every tau is zero).  ``within_d2`` is NaN when every
+    cluster is a singleton, ``cross_d2`` is None unless K = 2, and
+    ``min_abs_tau`` is +inf when degenerate."""
 
     sizes: tuple[int, ...]
     stats: SeparationStats
@@ -144,12 +142,15 @@ class _Prepared(NamedTuple):
 
 
 def _prepared(A, labels) -> _Prepared:
-    """Number clusters by first occurrence and measure them once."""
+    """Number the (at least 2) clusters by first occurrence and measure them once."""
     A = check_data(A)
     labels = _check_labels(labels, A.shape[0])
     ranks = first_occurrence_ranks(labels)
+    K = int(ranks.max()) + 1
+    if K < 2:
+        raise ValueError("separation needs at least 2 clusters")
     centered = center_columns(A)
-    groups = [centered[ranks == k] for k in range(ranks.max() + 1)]
+    groups = [centered[ranks == k] for k in range(K)]
     sizes = tuple(g.shape[0] for g in groups)
     stats = cluster_geometry(A, ranks)
     means = [g.mean(axis=0) for g in groups]
@@ -158,8 +159,8 @@ def _prepared(A, labels) -> _Prepared:
     zero_dims = {p: tuple(int(q) for q in np.nonzero(t == 0)[0]) for p, t in tau_by_pair.items()}
     min_abs_tau = min((float(np.abs(t[t != 0]).min()) for t in tau_by_pair.values() if t.any()),
                       default=math.inf)
-    K, m, n = len(sizes), sum(sizes), np.asarray(sizes, dtype=np.int64)
-    d = float(stats.pairwise_dist[np.triu_indices(K, k=1)].max()) if K >= 2 else math.nan
+    m, n = sum(sizes), np.asarray(sizes, dtype=np.int64)
+    d = float(stats.pairwise_dist[np.triu_indices(K, k=1)].max())
     return _Prepared(
         sizes=sizes, stats=stats,
         within_d2=stats.max_dia ** 2 if max(sizes) >= 2 else math.nan,
@@ -169,7 +170,7 @@ def _prepared(A, labels) -> _Prepared:
         cross_d2=cdist(groups[0], groups[1], "sqeuclidean") if len(groups) == 2 else None,
         tau_by_pair=tau_by_pair, zero_dims=zero_dims, min_abs_tau=min_abs_tau,
         eps=(8.0 * (m - n) * (n - 1) + 4.0 * n ** 2) / (m * n.astype(float) ** 2),
-        dist_max=d, r_min=r_lower_bound(sizes, d, stats.diameters) if K >= 2 else math.nan,
+        dist_max=d, r_min=r_lower_bound(sizes, d, stats.diameters),
         separated=bool(stats.min_dist > stats.max_dia),
         means_distinct=not any(zero_dims.values()), degenerate=min_abs_tau == math.inf,
     )
@@ -181,8 +182,6 @@ def _formulas(prep: _Prepared, two: bool | None) -> bool:
     K = len(prep.sizes)
     if two and K != 2:
         raise ValueError(f"expected exactly 2 clusters, got {K}")
-    if K < 2:
-        raise ValueError(f"expected at least 2 clusters, got {K}")
     return K == 2 if two is None else two
 
 

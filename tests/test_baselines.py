@@ -149,3 +149,9 @@ def test_single_linkage_recovers_separated_clusters():
     truth = np.array([0] * 8 + [1] * 7)
     out = hierarchical(A, 2, "single")
     assert rand_index(out.labels, truth) == 1.0
+
+
+def test_lloyd_rejects_init_centers_of_the_wrong_shape():
+    A = np.array([[0.0], [1.0], [5.0]])
+    with pytest.raises(ValueError, match="init_centers must be 2x1"):
+        lloyd(A, 2, init_centers=np.zeros((3, 1)))

@@ -46,7 +46,7 @@ def test_generate_ball_records_delta(tmp_path, capsys):
 def test_generate_gmm_paper_echoes_r(tmp_path, capsys):
     out = tmp_path / "g.csv"
     code, stdout, _ = run_cli(
-        ["generate", "gmm", "--paper", "--sigma", "1", "--seed", "0", "-o", str(out)], capsys)
+        ["generate", "paper-gaussians", "--sigma", "1", "--seed", "0", "-o", str(out)], capsys)
     assert code == 0
     payload = json.loads(stdout)
     assert np.isclose(payload["spec"]["r_recommended"], 0.14)
@@ -196,6 +196,33 @@ def test_cluster_auto_r_keeps_given_c(ball_csv, capsys):
     assert report["config"]["r"] == theory.search_feasible_r(A, truth).r
     assert report["config"]["c"] == 7.5
     assert "feasibility" not in report
+
+
+def test_cluster_auto_r_searches_from_the_given_r(ball_csv, capsys):
+    # --r is where the bandwidth search starts under either auto mode
+    code, stdout, _ = run_cli(
+        ["cluster", str(ball_csv), "--label-column", "label", "--auto-r", "--c", "7.5",
+         "--r", "0.5"], capsys)
+    assert code == 0
+    A, truth, _ = load_csv(ball_csv, label_column="label")
+    searched = theory.search_feasible_r(A, truth, r_start=0.5).r
+    assert searched != theory.search_feasible_r(A, truth).r
+    assert json.loads(stdout)["config"]["r"] == searched
+
+
+def test_generate_gmm_has_no_paper_switch(tmp_path, capsys):
+    # the paper's Gaussians come from `generate paper-gaussians` alone
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "gmm", "--paper", "-o", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "convexcluster: error: unrecognized arguments: --paper\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("paper=true\n", encoding="utf-8")
+    code, stdout, err = run_cli(["generate", "gmm", "--config", str(cfg), "-o", str(out)], capsys)
+    assert (code, stdout, err) == (2, "", "error: unknown config keys: ['paper']\n")
+    assert not out.exists()
 
 
 def test_path_command(ball_csv, capsys):
@@ -672,7 +699,7 @@ def test_bad_thread_cap_exits_2(ball_csv, capsys, monkeypatch, threads, message)
      "--knn must be an integer or 'full', got 'abc'"),
     (["cluster", "{data}", "--config", "{missing}"], "config file not found: {missing}"),
     (["generate", "ball", "-o", "{out}"], "generate ball requires --centers"),
-    (["generate", "gmm", "-o", "{out}"], "generate gmm requires --means (or --paper)"),
+    (["generate", "gmm", "-o", "{out}"], "generate gmm requires --means"),
     (["cluster", "{data}"], "--c is required unless --auto-params is given"),
     (["cluster", "{data}", "--auto-r", "--c", "1"],
      "--auto-r needs labeled data (--label-column)"),
@@ -683,8 +710,22 @@ def test_bad_thread_cap_exits_2(ball_csv, capsys, monkeypatch, threads, message)
      "'kmeanspp', 'lloyd'])"),
     (["bench", "{data}", "--methods", "convex", "--c-grid", "1e-3,2e-3"],
      "no c on the grid yields 3 clusters; widen --c-min/--c-max"),
+    (["cluster", "{data}", "--label-column", "label", "--auto-params", "--r=-1"],
+     "bandwidth r must be >= 0, got -1.0"),
+    (["cluster", "{data}", "--label-column", "label", "--auto-r", "--c", "1", "--r=-1"],
+     "bandwidth r must be >= 0, got -1.0"),
+    (["path", "{data}", "--c-steps", "0"], "--c-steps must be >= 1, got 0"),
+    (["path", "{data}", "--c-steps=-2"], "--c-steps must be >= 1, got -2"),
+    (["bench", "{data}", "--methods", "convex", "--c-steps", "0"],
+     "--c-steps must be >= 1, got 0"),
+    (["bench", "{data}", "--methods", "convex", "--c-steps=-2"],
+     "--c-steps must be >= 1, got -2"),
+    (["generate", "ball", "--centers", "a,b", "-o", "{out}"],
+     "cannot parse vector 'a,b' (expected comma-separated numbers)"),
 ], ids=["knn", "config-missing", "ball-no-centers", "gmm-no-means", "cluster-no-c",
-        "auto-r-unlabeled", "path-empty-grid", "bench-bad-method", "bench-no-c-on-grid"])
+        "auto-r-unlabeled", "path-empty-grid", "bench-bad-method", "bench-no-c-on-grid",
+        "auto-params-negative-r", "auto-r-negative-r", "path-c-steps-0", "path-c-steps-negative",
+        "bench-c-steps-0", "bench-c-steps-negative", "ball-unparsable-centers"])
 def test_input_errors_exit_2(ball_csv, tmp_path, capsys, args, message):
     names = {"data": ball_csv, "out": tmp_path / "g.csv", "missing": tmp_path / "none.cfg"}
     code, stdout, err = run_cli([a.format(**names) for a in args], capsys)
@@ -714,6 +755,10 @@ def test_feasibility_on_a_csv_without_rows_exits_2(tmp_path, capsys, text, messa
 
 @pytest.mark.parametrize("args, message", [
     (["feasibility", "{data}", "--r", "nan"], "bandwidth r must be finite, got nan"),
+    (["cluster", "{data}", "--label-column", "label", "--auto-params", "--r", "nan"],
+     "bandwidth r must be finite, got nan"),
+    (["cluster", "{data}", "--label-column", "label", "--auto-r", "--c", "1", "--r", "nan"],
+     "bandwidth r must be finite, got nan"),
     (["cluster", "{data}", "--c", "100", "--nu", "nan"], "penalty nu must be finite, got nan"),
     (["cluster", "{data}", "--c", "100", "--tol", "nan"], "tol must be finite, got nan"),
     (["cluster", "{data}", "--c", "100", "--merge-tol", "nan"],
@@ -732,9 +777,10 @@ def test_feasibility_on_a_csv_without_rows_exits_2(tmp_path, capsys, text, messa
      "mixture means must be finite"),
     (["generate", "gmm", "--means", "0,0", "3,3", "--weights", "nan,1", "-o", "{out}"],
      "mixture weights must be finite"),
-], ids=["feasibility-r", "cluster-nu", "cluster-tol", "cluster-merge-tol", "cluster-c-inf",
-        "cluster-r-inf", "path-c-grid", "path-c-grid-inf", "path-c-min", "path-c-max-inf",
-        "paper-gaussians-sigma", "feasibility-gmm-sigmas", "gmm-means", "gmm-weights"])
+], ids=["feasibility-r", "auto-params-r", "auto-r-r", "cluster-nu", "cluster-tol",
+        "cluster-merge-tol", "cluster-c-inf", "cluster-r-inf", "path-c-grid", "path-c-grid-inf",
+        "path-c-min", "path-c-max-inf", "paper-gaussians-sigma", "feasibility-gmm-sigmas",
+        "gmm-means", "gmm-weights"])
 def test_non_finite_numbers_exit_2(ball_csv, tmp_path, capsys, args, message):
     # NaN and +-inf are input errors that name the parameter, never a
     # "feasible" report, a traceback or a run to max_iter

@@ -259,3 +259,18 @@ def test_gmm_spec_rejects_non_finite_fields(field, value):
               "covariances": [np.eye(2), np.eye(2)], "m": 10}
     with pytest.raises(ValueError, match=f"mixture {field} must be finite"):
         GmmSpec(**{**fields, field: value})
+
+
+def test_gmm_spec_rejects_negative_weights_and_missing_components():
+    covs = [np.eye(1)] * 2
+    with pytest.raises(ValueError, match="mixture weights must be nonnegative"):
+        GmmSpec(weights=np.array([1.5, -0.5]), means=np.zeros((2, 1)), covariances=covs, m=5)
+    with pytest.raises(ValueError, match="need one mean and one covariance per component"):
+        GmmSpec(weights=np.array([0.5, 0.5]), means=np.zeros((3, 1)), covariances=covs, m=5)
+
+
+def test_save_csv_rejects_labels_of_another_length(tmp_path):
+    out = tmp_path / "d.csv"
+    with pytest.raises(ValueError, match="labels length must match row count"):
+        save_csv(out, CENTERS, labels=[0, 1, 2])
+    assert not out.exists()

@@ -156,3 +156,18 @@ def test_find_c_for_k_returns_none_without_a_bracket_or_once_it_is_spent(monkeyp
     assert find_c_for_k(FOUR, edges, 3, cfg, [0.09, 0.11]) is None
     assert len(solved) == 2 + 38 < 2 + extraction._MAX_BISECT
     assert 1.0 < max(solved[-2:]) / min(solved[-2:]) < 1.0 + 1e-12
+
+
+def test_path_rejects_an_empty_grid():
+    edges = gaussian_edges(FOUR, 0.01, "full")
+    with pytest.raises(ValueError, match="c grid must be a non-empty 1-d sequence"):
+        regularization_path(FOUR, edges, [], SolverConfig(c=0.0))
+
+
+def test_find_c_for_k_bisects_up_from_c_zero():
+    # the grid point below k is c = 0, so bisection starts just above it
+    edges = gaussian_edges(FOUR, 0.0, "full")
+    cfg = SolverConfig(c=0.0, tol=1e-9, max_iter=200000)
+    pt = find_c_for_k(FOUR, edges, 2, cfg, [0.0, 1e3])
+    assert pt is not None and 0 < pt.c < 1e3
+    assert pt.assignment.labels.tolist() == [0, 0, 1, 1]

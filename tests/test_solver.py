@@ -563,3 +563,16 @@ def test_one_solve_builds_one_system_matrix_and_one_transpose(monkeypatch):
     built.clear()
     admm_solve(A, edges, SolverConfig(c=c, tol=1e-6, max_iter=50000), init=state)
     assert built == ["csr_matrix", "csr_matrix", "csc_matrix", "csr_matrix"]
+
+
+def test_shape_mismatches_are_rejected():
+    four = np.array([[0.0], [0.1], [10.0], [10.1]])
+    edges = gaussian_edges(four, 0.0, "full")
+    warm = admm_solve(TWO_POINTS, TWO_EDGE, tight(1.0))
+    with pytest.raises(ValueError, match="edge set is over 2 nodes but data has 4 rows"):
+        admm_solve(four, TWO_EDGE, tight(1.0))
+    with pytest.raises(ValueError, match="warm-start state shapes do not match problem"):
+        admm_solve(four, edges, tight(1.0), init=warm)
+    for measure in (objective, kkt_residual):
+        with pytest.raises(ValueError, match=r"X shape \(2, 1\) does not match data shape"):
+            measure(four, TWO_POINTS, edges, 1.0)

@@ -332,3 +332,40 @@ def test_candidate_c_values_single_is_the_geometric_middle():
     edges = gaussian_edges(A, feas.r, "full")
     state = admm_solve(A, edges, SolverConfig(c=c, tol=1e-8, max_iter=60000))
     assert exact_clustering_check(state.X, truth, merge_tol=1e-6).ok
+
+
+@pytest.mark.parametrize("r", [-1.0, math.nan])
+@pytest.mark.parametrize("report", [c_interval_two, c_interval_k, feasibility_report,
+                                    search_feasible_r])
+def test_one_cluster_is_reported_before_the_bandwidth(report, r):
+    # the K >= 2 rule comes first, whatever the bandwidth (the search's start)
+    with pytest.raises(ValueError, match="^separation needs at least 2 clusters$"):
+        report(FOUR, [0, 0, 0, 0], r)
+
+
+# three pairs 100 apart: at r = 1 every between-cluster weight underflows to 0,
+# so the K-cluster upper bound is unbounded
+SPREAD = np.array([[0.0], [0.05], [100.0], [100.05], [200.0], [200.05]])
+SPREAD_LABELS = [0, 0, 1, 1, 2, 2]
+
+
+def test_candidate_c_values_cap_an_unbounded_interval():
+    rep = feasibility_report(SPREAD, SPREAD_LABELS, 1.0)
+    assert rep.feasible and rep.kappa_upper == math.inf
+    vals = candidate_c_values(rep, count=3)
+    assert vals.max() == 1e6 * (1 - 1e-9)
+    assert np.all(vals > rep.kappa_lower)
+
+
+def test_search_feasible_r_gives_up_after_its_tries():
+    with pytest.raises(ValueError, match=r"^no feasible r found after 60 tries \(last r="):
+        search_feasible_r(SPREAD, SPREAD_LABELS, r_start=1e-300)
+
+
+def test_malformed_theory_inputs_are_rejected():
+    with pytest.raises(ValueError, match="one size and one diameter per cluster"):
+        r_lower_bound((2, 2), 1.0, (0.0,))
+    with pytest.raises(ValueError, match="need at least 2 component means"):
+        gmm_separation_bound([[0.0, 0.0]], [np.eye(2)], 10)
+    with pytest.raises(ValueError, match="covariance shape mismatch"):
+        gmm_separation_bound([[0.0, 0.0], [5.0, 5.0]], [np.eye(2), np.eye(3)], 10)

@@ -117,3 +117,8 @@ def test_edges_deterministic_and_sorted():
     assert np.array_equal(e1.weights, e2.weights)
     keys = e1.pairs[:, 0] * 10 + e1.pairs[:, 1]
     assert np.all(np.diff(keys) > 0)
+
+
+def test_edge_set_rejects_pairs_and_weights_of_unequal_length():
+    with pytest.raises(ValueError, match="pairs and weights length mismatch"):
+        EdgeSet(m=3, pairs=[[0, 1], [1, 2]], weights=[1.0])
