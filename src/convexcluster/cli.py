@@ -26,8 +26,8 @@ import numpy as np
 from . import datagen, theory
 from .baselines import hierarchical, kmeanspp_init, lloyd
 from .core import _check_number, first_occurrence_ranks
-from .extraction import (_solve_point, canonical_labels, extract_clusters, find_c_for_k,
-                         regularization_path)
+from .extraction import (_merge_threshold, _solve_point, canonical_labels, extract_clusters,
+                         find_c_for_k, regularization_path)
 from .metrics import rand_index
 from .solver import PAPER, SolverConfig, admm_solve, objective
 from .theory import candidate_c_values, feasibility_report, search_feasible_r
@@ -227,16 +227,18 @@ def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     auto = "--auto-params" if args.auto_params else "--auto-r" if args.auto_r else None
     A, truth, source = _load_dataset(args, auto and f"{auto} needs labeled data (--label-column)")
-    merge_tol = args.merge_tol if args.merge_tol is not None else 10.0 * args.tol
+    merge_tol = _merge_threshold(args.tol, args.merge_tol)
     config = {"nu": args.nu, "tol": args.tol, "max_iter": args.max_iter, "knn": args.knn,
               "merge_tol": merge_tol, "convention": args.convention, "threads": _threads(),
               "r": args.r}
     report: dict = {"command": "cluster", "input": source, "config": config}
 
+    if args.auto_params and (args.c is not None or args.auto_r):
+        raise CliError("--auto-params picks both r and c: it takes neither --c nor --auto-r")
     if args.c is None and not args.auto_params:
         raise CliError("--c is required unless --auto-params is given")
     if auto:  # the bandwidth comes from theory, searched from --r (0: its default start)
-        feas = search_feasible_r(A, truth, r_start=args.r or None)
+        feas = search_feasible_r(A, truth, r_start=args.r)
         config["r"] = feas.r
     # candidate c values, tried in order: the first that recovers the truth
     # wins, else the first
@@ -477,7 +479,8 @@ def _cluster_flags(c: argparse.ArgumentParser):
     c.add_argument("--label-column", default=None)
     c.add_argument("--c", type=float, default=None, help="regularization weight")
     c.add_argument("--auto-params", action="store_true",
-                   help="pick (r, c) from the feasibility interval (needs labels)")
+                   help="pick (r, c) from the feasibility interval (needs labels); excludes "
+                        "--c and --auto-r, and solves on the full graph whatever --knn says")
     c.add_argument("--auto-r", action="store_true",
                    help="pick only r from the feasibility search; c stays as given")
     c.add_argument("--auto-candidates", type=int, default=5)
@@ -561,7 +564,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
             add_flags(p)
-            p.set_defaults(func=handler)
+            p.set_defaults(func=handler, parser=p)
     return parser
 
 
@@ -573,15 +576,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             defaults = _load_config_defaults(args.config)
-            sub_actions = [a for a in parser._actions
-                           if isinstance(a, argparse._SubParsersAction)]
-            subparser = sub_actions[0].choices[args.command]
-            actions = {a.dest: a for a in subparser._actions}
+            actions = {a.dest: a for a in args.parser._actions}
             unknown = set(defaults) - set(actions)
             if unknown:
                 raise CliError(f"unknown config keys: {sorted(unknown)}")
-            subparser.set_defaults(**{key: _config_value(actions[key], raw)
-                                      for key, raw in defaults.items()})
+            args.parser.set_defaults(**{key: _config_value(actions[key], raw)
+                                        for key, raw in defaults.items()})
             args = parser.parse_args(argv)
         return args.func(args)
     except (CliError, ValueError) as exc:

@@ -193,14 +193,9 @@ class IndexSets:
 
     m: int
     sizes: tuple[int, ...]
-    blocks: tuple[tuple[int, int], ...]
     within: frozenset[int]
     between: frozenset[int]
     between_by_pair: dict[tuple[int, int], frozenset[int]] = field(repr=False)
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.sizes)
 
     def within_rows(self) -> np.ndarray:
         return np.array(sorted(self.within), dtype=np.int64) - 1
@@ -229,7 +224,6 @@ def index_sets(labels) -> IndexSets:
         raise ValueError("labels are not contiguous: a cluster id appears in disjoint blocks")
 
     sizes = tuple(int(b - a) for a, b in zip(starts, stops))
-    blocks = tuple((int(a), int(b)) for a, b in zip(starts, stops))
     K = len(sizes)
 
     block = np.repeat(np.arange(K), sizes)
@@ -239,7 +233,6 @@ def index_sets(labels) -> IndexSets:
     return IndexSets(
         m=m,
         sizes=sizes,
-        blocks=blocks,
         within=frozenset(p[bi == bj].tolist()),
         between=frozenset(p[bi != bj].tolist()),
         between_by_pair={(k, l): frozenset(p[(bi == k) & (bj == l)].tolist())

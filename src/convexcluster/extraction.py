@@ -172,13 +172,19 @@ class PathResult:
         return bool(np.all(np.diff(self.cluster_counts) <= 0))
 
 
+def _merge_threshold(tol: float, merge_tol: float | None) -> float:
+    """``merge_tol``, or 10 * tol when None: a solve stopped at tolerance t
+    leaves fused rows about t apart, so the extraction threshold must sit
+    above it."""
+    return 10.0 * tol if merge_tol is None else merge_tol
+
+
 def _solve_point(A, edges: EdgeSet, cfg: SolverConfig, c: float, merge_tol: float | None,
                  init: SolverState | None = None) -> tuple[PathPoint, SolverState]:
-    """Solve at ``c`` and extract its partition at ``merge_tol``, which
-    defaults to 10 * cfg.tol: a solve stopped at tolerance t leaves fused
-    rows about t apart, so the extraction threshold must sit above it."""
+    """Solve at ``c`` and extract its partition at
+    ``_merge_threshold(cfg.tol, merge_tol)``."""
     state = admm_solve(A, edges, replace(cfg, c=c), init=init)
-    assign = extract_clusters(state.X, 10.0 * cfg.tol if merge_tol is None else merge_tol)
+    assign = extract_clusters(state.X, _merge_threshold(cfg.tol, merge_tol))
     return PathPoint(c=c, assignment=assign, n_clusters=assign.k, iters=state.iters,
                      converged=state.converged, final_change=state.final_change), state
 

@@ -176,18 +176,10 @@ def _prepared(A, labels) -> _Prepared:
     )
 
 
-def _formulas(prep: _Prepared, two: bool | None) -> bool:
-    """Whether the 2-cluster formulas apply: when ``two`` is True (K must be
-    2), not when False, and by K when None."""
-    K = len(prep.sizes)
-    if two and K != 2:
-        raise ValueError(f"expected exactly 2 clusters, got {K}")
-    return K == 2 if two is None else two
-
-
 class _Bounds(NamedTuple):
     """The closed forms at one bandwidth r (the 2-cluster ones if ``two``)."""
 
+    r: float
     two: bool
     gmin_w: float
     gmax_b: float
@@ -197,12 +189,15 @@ class _Bounds(NamedTuple):
     feasible: bool
 
 
-def _bounds(prep: _Prepared, r: float, two: bool | None) -> _Bounds:
-    """Kernel extremes and the c interval at bandwidth r, by the formulas
-    :func:`_formulas` picks for ``two``.  The bandwidth scan and every report
-    evaluate them here, so they agree bit for bit."""
+def _bounds(prep: _Prepared, r: float, two: bool) -> _Bounds:
+    """Kernel extremes and the c interval at bandwidth r, by the 2-cluster
+    formulas when ``two`` (which raises unless K = 2, after the bandwidth
+    check) and by the K-cluster ones otherwise.  The bandwidth scan and every
+    report evaluate them here, so they agree bit for bit."""
     _check_number("bandwidth r", r, 0)
-    two = _formulas(prep, two)
+    K = len(prep.sizes)
+    if two and K != 2:
+        raise ValueError(f"expected exactly 2 clusters, got {K}")
     m = sum(prep.sizes)
     gmin_w = float(np.exp(-r * prep.within_d2))
     if two:
@@ -229,16 +224,13 @@ def _bounds(prep: _Prepared, r: float, two: bool | None) -> _Bounds:
         lower = max(0.0, float((prep.eps * prep.stats.diameters / denom).max()))
     else:
         lower = math.inf
-    return _Bounds(two, gmin_w, gmax_b, rho, lower, upper,
+    return _Bounds(r, two, gmin_w, gmax_b, rho, lower, upper,
                    feasible=bool(sign_ok and not prep.degenerate and lower < upper))
 
 
-def _report(prep: _Prepared, r: float, two: bool | None = None,
-            b: _Bounds | None = None) -> FeasibilityReport:
-    """The full report at bandwidth r, by the formulas :func:`_formulas` picks
-    for ``two``, or from the bounds ``b`` the bandwidth scan evaluated."""
-    if b is None:
-        b = _bounds(prep, r, two)
+def _report(prep: _Prepared, b: _Bounds) -> FeasibilityReport:
+    """The full report at ``b.r`` from the bounds ``b`` that :func:`_bounds`
+    evaluated, in their form (``b.two``); it evaluates no bound again."""
     two = b.two
     stats = prep.stats
     if two:
@@ -251,7 +243,7 @@ def _report(prep: _Prepared, r: float, two: bool | None = None,
                  (prep.dist_max != stats.min_dist, "bandwidth bound uses d = max pairwise "
                   "cluster distance; the separation condition uses the min (both reported)")]
     return FeasibilityReport(
-        n_clusters=len(prep.sizes), sizes=prep.sizes, r=float(r), r_min=prep.r_min,
+        n_clusters=len(prep.sizes), sizes=prep.sizes, r=float(b.r), r_min=prep.r_min,
         kappa_lower=b.lower, kappa_upper=b.upper, feasible=b.feasible,
         separated=prep.separated, dist_min=stats.min_dist, dist_max=prep.dist_max,
         diameters=tuple(float(x) for x in stats.diameters),
@@ -273,7 +265,8 @@ def c_interval_two(A, labels, r: float) -> FeasibilityReport:
     centered cluster means coincide and the upper bound is undefined
     (degenerate report).
     """
-    return _report(_prepared(A, labels), r, two=True)
+    prep = _prepared(A, labels)
+    return _report(prep, _bounds(prep, r, True))
 
 
 def c_interval_k(A, labels, r: float) -> FeasibilityReport:
@@ -285,7 +278,8 @@ def c_interval_k(A, labels, r: float) -> FeasibilityReport:
     disagrees with the min used by the separation condition; both distances
     are reported rather than silently reconciled.
     """
-    return _report(_prepared(A, labels), r, two=False)
+    prep = _prepared(A, labels)
+    return _report(prep, _bounds(prep, r, False))
 
 
 class BallCheck(NamedTuple):
@@ -349,14 +343,13 @@ def gmm_separation_bound(means, covariances, m: int) -> GmmSeparationReport:
     )
 
     bounds = np.full((K, K), np.nan)
-    min_dist = math.inf
     for k in range(K):
         for l in range(k + 1, K):
             S = covs[k] + covs[l]
             pair = math.sqrt(spectral(S)) * root12 + (12.0 * logm) ** 0.25 * math.sqrt(float(np.linalg.norm(S)))
             bounds[k, l] = bounds[l, k] = pair + within_term
-            min_dist = min(min_dist, float(np.linalg.norm(means[k] - means[l])))
 
+    min_dist = ball_condition(means).delta
     satisfied = bool(min_dist > np.nanmax(bounds))
     return GmmSeparationReport(pair_bounds=bounds, min_center_distance=min_dist,
                                satisfied=satisfied)
@@ -364,7 +357,8 @@ def gmm_separation_bound(means, covariances, m: int) -> GmmSeparationReport:
 
 def feasibility_report(A, labels, r: float) -> FeasibilityReport:
     """Dispatch to the 2-cluster formulas when K = 2, else the K-cluster ones."""
-    return _report(_prepared(A, labels), r)
+    prep = _prepared(A, labels)
+    return _report(prep, _bounds(prep, r, len(prep.sizes) == 2))
 
 
 # Factor by which search_feasible_r grows r, and the most values it tries.
@@ -373,7 +367,8 @@ _R_TRIES = 60
 
 
 def search_feasible_r(A, labels, r_start: float | None = None) -> FeasibilityReport:
-    """Grow r geometrically from just above the bandwidth bound until feasible.
+    """Grow r geometrically from ``r_start`` until feasible; None or 0 starts
+    just above the bandwidth bound (and at least at 1e-3).
 
     The clusters are measured once.  Each tried r evaluates only the bounds
     of the c interval, and one report is built, at the r returned.  The
@@ -382,14 +377,13 @@ def search_feasible_r(A, labels, r_start: float | None = None) -> FeasibilityRep
     data indicates a degenerate report (equal means).
     """
     prep = _prepared(A, labels)
-    two = _formulas(prep, None)
     if not math.isfinite(prep.r_min):
         raise ValueError("no finite bandwidth bound: separation condition fails")
-    r = r_start if r_start is not None else max(prep.r_min * 1.05, 1e-3)
+    r = r_start or max(prep.r_min * 1.05, 1e-3)
     for _ in range(_R_TRIES):
-        b = _bounds(prep, r, two)
+        b = _bounds(prep, r, len(prep.sizes) == 2)
         if b.feasible:
-            return _report(prep, r, b=b)
+            return _report(prep, b)
         last, r = r, r * _R_GROWTH
     raise ValueError(f"no feasible r found after {_R_TRIES} tries (last r={float(last):.4g})")
 

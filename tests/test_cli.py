@@ -722,12 +722,21 @@ def test_bad_thread_cap_exits_2(ball_csv, capsys, monkeypatch, threads, message)
      "--c-steps must be >= 1, got -2"),
     (["generate", "ball", "--centers", "a,b", "-o", "{out}"],
      "cannot parse vector 'a,b' (expected comma-separated numbers)"),
+    (["cluster", "{data}", "--label-column", "label", "--auto-params", "--auto-r"],
+     "--auto-params picks both r and c: it takes neither --c nor --auto-r"),
+    (["cluster", "{data}", "--label-column", "label", "--auto-params", "--c", "3"],
+     "--auto-params picks both r and c: it takes neither --c nor --auto-r"),
+    (["cluster", "{data}", "--label-column", "label", "--auto-params", "--config", "{auto_r}"],
+     "--auto-params picks both r and c: it takes neither --c nor --auto-r"),
 ], ids=["knn", "config-missing", "ball-no-centers", "gmm-no-means", "cluster-no-c",
         "auto-r-unlabeled", "path-empty-grid", "bench-bad-method", "bench-no-c-on-grid",
         "auto-params-negative-r", "auto-r-negative-r", "path-c-steps-0", "path-c-steps-negative",
-        "bench-c-steps-0", "bench-c-steps-negative", "ball-unparsable-centers"])
+        "bench-c-steps-0", "bench-c-steps-negative", "ball-unparsable-centers",
+        "auto-params-with-auto-r", "auto-params-with-c", "auto-params-with-auto-r-config"])
 def test_input_errors_exit_2(ball_csv, tmp_path, capsys, args, message):
-    names = {"data": ball_csv, "out": tmp_path / "g.csv", "missing": tmp_path / "none.cfg"}
+    names = {"data": ball_csv, "out": tmp_path / "g.csv", "missing": tmp_path / "none.cfg",
+             "auto_r": tmp_path / "auto-r.cfg"}
+    names["auto_r"].write_text("auto-r=true\n", encoding="utf-8")
     code, stdout, err = run_cli([a.format(**names) for a in args], capsys)
     assert (code, stdout, err) == (2, "", f"error: {message.format(**names)}\n")
     assert not names["out"].exists()

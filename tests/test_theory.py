@@ -95,6 +95,27 @@ def test_c_interval_two_requires_two_clusters():
     assert c_interval_two(FOUR, [0, 0, 0, 1], r=2.0).n_clusters == 2
 
 
+@pytest.mark.parametrize("r, message", [
+    (-1.0, "^bandwidth r must be >= 0, got -1.0$"),
+    (math.nan, "^bandwidth r must be finite, got nan$"),
+    (1.0, "^expected exactly 2 clusters, got 3$"),
+], ids=["negative-r", "nan-r", "valid-r"])
+def test_c_interval_two_checks_the_bandwidth_before_the_cluster_count(r, message):
+    with pytest.raises(ValueError, match=message):
+        c_interval_two(*_ball(), r)
+
+
+def test_feasibility_report_takes_the_two_cluster_form_at_k_2():
+    A, labels = _ball()
+    keep = labels != 2
+    for r in (0.0, 0.5, 3.0):
+        two = c_interval_two(A[keep], labels[keep], r)
+        assert feasibility_report(A[keep], labels[keep], r).to_dict() == two.to_dict()
+        k = c_interval_k(A[keep], labels[keep], r)
+        assert k.rho is None and k.tau is None and two.rho is not None
+        assert k.to_dict() != two.to_dict()
+
+
 def test_k_interval_on_two_cluster_data_both_nonempty():
     two = c_interval_two(FOUR, FOUR_LABELS, r=1.0)
     k = c_interval_k(FOUR, FOUR_LABELS, r=1.0)
@@ -213,6 +234,17 @@ def test_searched_report_equals_direct_report():
         assert r == rep.r and tried >= 1
 
 
+# two pairs 10 apart, whose default search succeeds at r = 0.01485...
+TWO_PAIRS = np.array([[0.0], [0.1], [10.0], [10.1]])
+
+
+@pytest.mark.parametrize("r_start", [0.0, 0], ids=["zero", "int-zero"])
+def test_search_starts_at_its_default_for_none_and_zero(r_start):
+    rep = search_feasible_r(TWO_PAIRS, FOUR_LABELS, r_start=r_start)
+    assert rep.feasible and math.isclose(rep.r, 0.014853153869141685)
+    assert rep.to_dict() == search_feasible_r(TWO_PAIRS, FOUR_LABELS).to_dict()
+
+
 def test_ball_condition_examples():
     ok = ball_condition([[0.0, 0.0], [4.0, 0.0]])
     assert ok.satisfied and ok.delta == 4.0
@@ -247,6 +279,16 @@ def test_gmm_bound_zero_covariance_and_scaling():
     b1 = gmm_separation_bound(mu, [eye, eye], m=30).pair_bounds[0, 1]
     b2 = gmm_separation_bound(mu, [4 * eye, 4 * eye], m=30).pair_bounds[0, 1]
     assert 1.9 <= b2 / b1 <= 2.1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gmm_bound_measures_centers_as_the_ball_condition_does(seed):
+    gen = np.random.default_rng(seed)
+    K, n = 2 + seed, 1 + 3 * seed
+    means = gen.normal(scale=4.0, size=(K, n))
+    rep = gmm_separation_bound(means, [np.eye(n)] * K, m=40)
+    # bit for bit: one rule measures the minimum center distance
+    assert rep.min_center_distance == ball_condition(means).delta
 
 
 def test_gmm_bound_term_by_term():
