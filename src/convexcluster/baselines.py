@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .core import check_data, rng
 from .extraction import Assignment, canonical_labels
@@ -22,6 +21,8 @@ class KMeansResult:
 
 def _assign(A, centers):
     """Each row's nearest center (ties go to the lowest index) and its squared distance."""
+    from scipy.spatial.distance import cdist
+
     d2 = cdist(A, centers, metric="sqeuclidean")
     labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(A.shape[0]), labels]
@@ -79,6 +80,8 @@ def lloyd(A, k: int, init_centers=None, max_iter: int = 300, seed: int = 0) -> K
 def kmeanspp_init(A, k: int, seed: int = 0) -> np.ndarray:
     """D^2 seeding: each next center drawn proportionally to the squared
     distance from the nearest already-chosen center."""
+    from scipy.spatial.distance import cdist
+
     A = check_data(A)
     m = A.shape[0]
     if not (1 <= k <= m):
@@ -108,6 +111,8 @@ def hierarchical(A, k: int, linkage: str = "single") -> Assignment:
     cluster pairs the one with lexicographically smallest (i, j) wins, where
     a cluster is identified by its smallest original row index.
     """
+    from scipy.spatial.distance import pdist, squareform
+
     A = check_data(A)
     m = A.shape[0]
     if not (1 <= k <= m):

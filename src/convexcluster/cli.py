@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -364,6 +363,8 @@ def cmd_bench(args) -> int:
         tasks = [(m, rep, args.seed) for m in km_methods for rep in range(args.repeats)]
         run = partial(_bench_task, A, truth, k, args.inits)
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(run, tasks, chunksize=8))
         else:

@@ -9,6 +9,10 @@ Data matrices are m x n numpy arrays; rows are observations.  Row indices are
 the mathematical convention and is 1-based: pairs (i, j), i < j, are
 enumerated lexicographically, which is exactly the row order of the
 difference operator.
+
+Every module of the package imports scipy inside the functions that call it,
+so importing the package, ``generate`` and ``feasibility`` load numpy only:
+scipy's modules are most of a process's start-up otherwise.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -88,6 +94,8 @@ def _incidence_transpose(pairs: np.ndarray, m: int) -> sp.csr_matrix:
     """E^T as CSR, E the signed incidence over m nodes (row l is e_i - e_j for
     pairs[l] = (i, j)): row i lists the edges at node i in ascending order,
     +1 where i is the edge's first node and -1 where it is its second."""
+    import scipy.sparse as sp
+
     ends = pairs.ravel()  # edge l's nodes sit at 2l and 2l + 1
     order = np.argsort(ends, kind="stable")
     indptr = np.zeros(m + 1, dtype=np.int64)
@@ -125,6 +133,8 @@ def pair_sqdist(A: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     d = np.take(A.T, pairs[:, 0], axis=1)
     d -= A.T[:, pairs[:, 1]]
     d *= d
+    if d.shape[1] == 1:  # one column is a contiguous 1-d sum, which numpy adds pairwise
+        return np.add.accumulate(d, axis=0)[-1]
     return np.add.reduce(d, axis=0)
 
 
@@ -147,6 +157,9 @@ def _components(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
     order of each component's lowest node."""
     if len(rows) == 0:
         return np.arange(size)
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
     graph = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(size, size))

@@ -158,23 +158,22 @@ def save_csv(path, A, labels=None) -> None:
     """Write observations (and an optional trailing label column) as CSV.
 
     Values are written with shortest round-trip precision, so decimal-exact
-    data reloads bit-identically.  UTF-8, comma separated; with labels, one
-    header row ``x0, x1, ..., label``.
+    data reloads bit-identically.  UTF-8, comma separated, CRLF line ends;
+    with labels, one header row ``x0, x1, ..., label``.  The file is written
+    in one call, byte for byte as ``csv.writer`` writes it.
     """
     A = check_data(A)
+    n = A.shape[1]
+    cells = list(map(repr, A.ravel().tolist()))  # flat, as in load_csv
+    lines = [",".join(cells[q:q + n]) for q in range(0, len(cells), n)]
     if labels is not None:
         labels = np.asarray(labels)
         if labels.shape != (A.shape[0],):
             raise ValueError("labels length must match row count")
+        lines = [",".join([f"x{q}" for q in range(n)] + ["label"])] + [
+            f"{line},{int(label)}" for line, label in zip(lines, labels.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        if labels is not None:
-            w.writerow([f"x{q}" for q in range(A.shape[1])] + ["label"])
-        for i in range(A.shape[0]):
-            row = [repr(float(v)) for v in A[i]]
-            if labels is not None:
-                row.append(str(int(labels[i])))
-            w.writerow(row)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _is_number(cell: str) -> bool:
@@ -197,19 +196,26 @@ def load_csv(path, label_column: str | int | None = None):
     non-numeric feature cells, and a missing label column are errors.  Returns
     (data, labels_or_None, header_or_None).
     """
+    # one flat list of cells, not a list per row: hundreds of row lists alive
+    # at once set off young collections, which promote them to older ones
+    cells, widths = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
+        for row in csv.reader(fh):
+            if row:
+                cells += row
+                widths.append(len(row))
+    if not widths:
         raise ValueError(f"{path}: empty CSV")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
+    if len(set(widths)) != 1:
+        raise ValueError(f"{path}: ragged rows (widths {sorted(set(widths))})")
+    width, count = widths[0], len(widths)
 
     header: list[str] | None = None
-    if not all(map(_is_number, rows[0])):
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
+    if not all(map(_is_number, cells[:width])):
+        header = [c.strip() for c in cells[:width]]
+        del cells[:width]
+        count -= 1
+        if not count:
             raise ValueError(f"{path}: header but no data rows")
 
     labels = None
@@ -221,24 +227,27 @@ def load_csv(path, label_column: str | int | None = None):
                 label_idx = int(label_column)
             except ValueError:
                 raise ValueError(f"{path}: label column {label_column!r} not found") from None
-            if not -len(rows[0]) <= label_idx < len(rows[0]):
+            if not -width <= label_idx < width:
                 raise ValueError(f"{path}: label column index {label_idx} out of range")
-        cells = [row.pop(label_idx).strip() for row in rows]
+        column = slice(label_idx % width, None, width)
+        label_cells = [c.strip() for c in cells[column]]
+        del cells[column]
+        width -= 1
         if header is not None:
             header.pop(label_idx)
         try:
-            values = [float(s) for s in cells]
+            values = [float(s) for s in label_cells]
             integral = all(v.is_integer() and -2.0**63 <= v < 2.0**63 for v in values)
         except ValueError:  # strings
-            values, integral = cells, False
+            values, integral = label_cells, False
         labels = np.array(values, dtype=np.int64) if integral else first_occurrence_ranks(values)
 
     try:
-        A = np.array(rows, dtype=float)  # parses each cell as float() does
+        A = np.array(cells, dtype=float)  # parses each cell as float() does
     except ValueError:  # name the first cell that does not parse
-        for ln, row in enumerate(rows, start=1):
-            for cell in row:
-                if not _is_number(cell):
-                    raise ValueError(f"{path}: non-numeric feature cell {cell!r} in data row {ln}")
+        for q, cell in enumerate(cells):
+            if not _is_number(cell):
+                raise ValueError(f"{path}: non-numeric feature cell {cell!r} "
+                                 f"in data row {q // width + 1}")
         raise
-    return check_data(A), labels, header
+    return check_data(A.reshape(count, width)), labels, header

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import (_TREE_MARGIN, _ball_pairs, _check_number, _components, check_data,
                    first_occurrence_ranks, pair_sqdist)
@@ -104,6 +103,8 @@ def extract_clusters(X, merge_tol: float = 1e-8) -> Assignment:
 def _linked_components(X, merge_tol: float) -> np.ndarray:
     """Component ids of the rows of X under the ``merge_tol`` threshold
     graph (see :func:`extract_clusters`)."""
+    from scipy.spatial import cKDTree
+
     m = X.shape[0]
     reach = max(_MIN_REACH, merge_tol * (1.0 + _TREE_MARGIN))
 

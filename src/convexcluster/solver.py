@@ -83,13 +83,15 @@ matching sparse matrix adds, so the maps build no sparse matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .core import _check_number, _components, _incidence_transpose, check_data
 from .weights import EdgeSet
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 PAPER = "paper"
 HALF = "half"
@@ -183,6 +185,9 @@ def _factor(edges: EdgeSet, nu: float, fidelity: np.ndarray):
     of ``fidelity``.  The matrix is built in one step from the edges, which
     are unique: s_i + nu * degree_i on the diagonal and -nu at both mirror
     entries of each edge."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     G, (i, j) = edges.m, edges.pairs.T
     nodes = np.arange(G)
     rows, cols = np.concatenate([nodes, i, j]), np.concatenate([nodes, j, i])

@@ -29,11 +29,10 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import (_check_covariance, _check_labels, _check_number, center_columns, check_data,
                    first_occurrence_ranks)
-from .metrics import SeparationStats, cluster_geometry
+from .metrics import SeparationStats, _product, _sqdist, cluster_geometry
 
 
 @dataclass(frozen=True)
@@ -167,13 +166,20 @@ def _prepared(A, labels) -> _Prepared:
         # stats.min_dist stays measured on the raw rows: the centered rows
         # round differently, and sqrt(cross_d2.min()) differs from it in the
         # last bit on some inputs (a 2-cluster ball model with m = 20, seed 0)
-        cross_d2=cdist(groups[0], groups[1], "sqeuclidean") if len(groups) == 2 else None,
+        cross_d2=_cross_d2(centered, ranks) if K == 2 else None,
         tau_by_pair=tau_by_pair, zero_dims=zero_dims, min_abs_tau=min_abs_tau,
         eps=(8.0 * (m - n) * (n - 1) + 4.0 * n ** 2) / (m * n.astype(float) ** 2),
         dist_max=d, r_min=r_lower_bound(sizes, d, stats.diameters),
         separated=bool(stats.min_dist > stats.max_dia),
         means_distinct=not any(zero_dims.values()), degenerate=min_abs_tau == math.inf,
     )
+
+
+def _cross_d2(A, ranks) -> np.ndarray:
+    """The squared distances between the rows of clusters 0 and 1 of A, as
+    ``cdist(A[ranks == 0], A[ranks == 1], "sqeuclidean")`` gives them."""
+    p, q = np.flatnonzero(ranks == 0), np.flatnonzero(ranks == 1)
+    return _sqdist(A, _product(p, q)).reshape(p.size, q.size)
 
 
 class _Bounds(NamedTuple):

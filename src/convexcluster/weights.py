@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .core import _ball_pairs, _check_number, all_pairs, check_data, pair_sqdist
 
@@ -58,6 +56,8 @@ def gaussian_weights(A, r: float) -> np.ndarray:
     (the row order of the difference operator).  Values lie in (0, 1]; they
     may underflow to exactly 0.0 for very large ``r * dist^2``.
     """
+    from scipy.spatial.distance import pdist
+
     A = check_data(A)
     _check_number("kernel bandwidth r", r, 0)
     d2 = pdist(A, metric="sqeuclidean")
@@ -75,6 +75,8 @@ def _knn_pairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     a candidate, so a row with ties at that distance is ranked exactly
     against all of them.
     """
+    from scipy.spatial import cKDTree
+
     m = A.shape[0]
     if not (1 <= k <= m - 1):
         raise ValueError(f"knn must be in [1, m-1] or 'full', got {k}")

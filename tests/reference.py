@@ -15,19 +15,51 @@ loops run on the same factor of the same problem, and it forms E X and
 E^T W as products with its own incidence matrix.  That factor in turn has a
 reference: SuperLU's general-matrix default, on S + nu * E^T E formed from
 incidence products.
+
+Cluster geometry has a reference in ``pdist``/``cdist`` one cluster and one
+cluster pair at a time, and CSV output in ``csv.writer`` one row at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from convexcluster.core import (center_columns, check_data, difference_operator,
                                 first_occurrence_ranks, index_sets)
 from convexcluster.solver import (PAPER, SolverConfig, SolverState, _factor, _fidelity_factor,
                                   _reduce, incidence)
+
+
+def cluster_geometry_scipy(A, labels):
+    """(diameters, K x K minimum cross distances) of the clusters of A in
+    sorted label order: ``pdist(G).max()`` and ``cdist(G, H).min()``."""
+    values = np.unique(labels)
+    groups = [A[labels == v] for v in values]
+    diam = np.array([pdist(G).max() if len(G) >= 2 else 0.0 for G in groups])
+    dist = np.zeros((values.size, values.size))
+    for k in range(values.size):
+        for l in range(k + 1, values.size):
+            dist[k, l] = dist[l, k] = cdist(groups[k], groups[l]).min()
+    return diam, dist
+
+
+def csv_writer_bytes(A, labels=None) -> bytes:
+    """The CSV ``csv.writer`` writes for A (and a trailing label column with
+    its header), one row at a time."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    if labels is not None:
+        w.writerow([f"x{q}" for q in range(A.shape[1])] + ["label"])
+    for i in range(A.shape[0]):
+        w.writerow([repr(float(v)) for v in A[i]]
+                   + ([] if labels is None else [str(int(labels[i]))]))
+    return buf.getvalue().encode("utf-8")
 
 
 def knn_edges_dense(A, r: float, k: int):

@@ -506,6 +506,42 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+_SCIPY_AT_START = """
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+
+def scipy():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+import convexcluster
+from convexcluster import baselines, core, datagen, extraction, metrics, solver, theory, weights
+import convexcluster.cli as cli
+seen = {"import": scipy()}
+data, centers = sys.argv[1], ["0,0", "4.5,0.9", "1.8,6.0"]
+with redirect_stdout(StringIO()):
+    for name, argv in [
+            ("generate", ["generate", "ball", "--centers", *centers, "--per-cluster", "30",
+                          "-o", data]),
+            ("feasibility", ["feasibility", data, "--centers", *centers, "--gmm-sigmas", "0.5"]),
+            ("cluster", ["cluster", data, "--label-column", "label", "--r", "1", "--c", "1"])]:
+        assert cli.main(argv) == 0, name
+        seen[name] = scipy()
+print(json.dumps(seen))
+"""
+
+
+def test_generate_and_feasibility_start_without_scipy(tmp_path):
+    # scipy's modules are most of a process's start-up: importing the package
+    # and running generate or feasibility load none, a solve loads what it calls
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AT_START, str(tmp_path / "b.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == seen["generate"] == seen["feasibility"] == []
+    assert "scipy.sparse.linalg" in seen["cluster"] and "scipy.spatial" in seen["cluster"]
+
+
 def test_main_parses_argv_once(ball_csv, capsys, monkeypatch):
     # without --config, the first parse is the only one: each parser (the
     # top level and its subcommand) runs once, and leftovers are reported

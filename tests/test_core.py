@@ -182,6 +182,9 @@ def test_pair_sqdist_matches_pdist_bit_for_bit(n):
     expected = pdist(A, "sqeuclidean")[[pairs.tolist().index(sorted(p)) for p in some.tolist()]]
     assert np.array_equal(pair_sqdist(np.asfortranarray(A), some), expected)
     assert pair_sqdist(A, pairs[:0]).shape == (0,)
+    # a single pair too, whose column sum numpy would otherwise add pairwise
+    for p, expect in zip(pairs[:30], pdist(A, "sqeuclidean")):
+        assert np.array_equal(pair_sqdist(A, p[None]), [expect])
 
 
 def test_pair_sqdist_holds_at_most_two_gathers():

@@ -14,6 +14,7 @@ from convexcluster.datagen import (
     stochastic_ball,
 )
 from convexcluster.metrics import cluster_geometry
+from reference import csv_writer_bytes
 
 CENTERS = np.array([[0.0, 0.0], [5.0, 0.0]])
 
@@ -187,12 +188,21 @@ def test_csv_cells_parse_as_float_does(tmp_path):
     A, labels, header = load_csv(path, label_column=-2)
     assert A.tolist() == [[1000.0, 2.0], [-0.5, 0.3]]
     assert labels.tolist() == [1, 2] and header == ["x0", "x1"]
-    # the first cell float() rejects is named, by row and in order
-    path.write_text("1,2\n3,4\n5,x\n,y\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"non-numeric feature cell 'x' in data row 3"):
-        load_csv(path)
-    path.write_text("x0,label,x1\n1,a,2\n3,b,\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"non-numeric feature cell '' in data row 2"):
+    # the first cell float() rejects is named, by data row and in order,
+    # wherever the label column sits and however it is given
+    for text, column, cell, row in [
+            ("1,2\n3,4\n5,x\n,y\n", None, "x", 3),
+            ("x0,label,x1\n1,a,2\n3,b,\n", "label", "", 2),
+            ("x0,label,x1\n1,a,2\n3,b,\n", -2, "", 2),
+            ("x0,x1,label\n1,x,0\n3,4,1\n", "label", "x", 1),
+            ("1,0,2\n3,1,q\n5,0,6\n", 1, "q", 2),
+            ("1,0,2\n3,1,q\n5,0,6\n", "-2", "q", 2)]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"non-numeric feature cell '{cell}' in data row {row}$"):
+            load_csv(path, label_column=column)
+    # a label-only CSV has no feature column
+    path.write_text("label\n0\n1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"at least one row and one column, got 2x0"):
         load_csv(path, label_column="label")
 
 
@@ -267,6 +277,19 @@ def test_gmm_spec_rejects_negative_weights_and_missing_components():
         GmmSpec(weights=np.array([1.5, -0.5]), means=np.zeros((2, 1)), covariances=covs, m=5)
     with pytest.raises(ValueError, match="need one mean and one covariance per component"):
         GmmSpec(weights=np.array([0.5, 0.5]), means=np.zeros((3, 1)), covariances=covs, m=5)
+
+
+@pytest.mark.parametrize("data, labels", [
+    ("ball", None), ("ball", "truth"), ("special", None), ("special", [0.0, -1.7, 2.9]),
+    ("special", [True, False, True])],
+    ids=["ball", "ball-labels", "special", "special-float-labels", "special-bool-labels"])
+def test_save_csv_writes_the_bytes_csv_writer_writes(tmp_path, data, labels):
+    ball, truth = stochastic_ball(BallModelSpec(centers=CENTERS, per_cluster=20, seed=4))
+    A = ball if data == "ball" else np.array([[-0.0, 5e-324], [1e22, -1.5], [0.1, 3.0]])
+    labels = truth if labels == "truth" else labels
+    out = tmp_path / "out.csv"
+    save_csv(out, A, labels=labels)
+    assert out.read_bytes() == csv_writer_bytes(A, labels)
 
 
 def test_save_csv_rejects_labels_of_another_length(tmp_path):

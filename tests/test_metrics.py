@@ -2,13 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from convexcluster import metrics
+from convexcluster.core import all_pairs, first_occurrence_ranks
 from convexcluster.extraction import canonical_labels, extract_clusters
 from convexcluster.metrics import (
     cluster_geometry,
     exact_clustering_check,
     rand_index,
 )
+from convexcluster.theory import _prepared
+from reference import cluster_geometry_scipy
 
 
 def brute_force_rand(a, b):
@@ -79,6 +84,73 @@ def test_cluster_geometry_matches_pair_scan():
                   if labels[i] == labels[j] == 0)
     assert np.isclose(stats.pairwise_dist[0, 1], cross)
     assert np.isclose(stats.diameters[0], within0)
+
+
+def _geometry_inputs(kind: str, n: int):
+    """Labeled inputs of 2-4 clusters of 1-80 rows (the first a singleton),
+    rows shuffled: well separated, on a half-unit grid (ties and duplicated
+    rows), overlapping, or offset by 1e6."""
+    gen = np.random.default_rng([n, len(kind)])
+    for _ in range(6):
+        K = int(gen.integers(2, 5))
+        sizes = np.r_[1, gen.integers(1, 81, size=K - 1)]
+        centers = gen.normal(size=(K, n)) * (0.3 if kind == "overlapping" else 4.0)
+        A = np.vstack([c + gen.uniform(-1.0, 1.0, size=(s, n)) for c, s in zip(centers, sizes)])
+        if kind == "grid":
+            A = np.round(A * 2.0) / 2.0
+        if kind == "offset":
+            A += 1e6
+        labels = np.repeat(np.arange(K), sizes)
+        perm = gen.permutation(labels.size)
+        yield A[perm], labels[perm]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 100])
+@pytest.mark.parametrize("kind", ["separated", "grid", "overlapping", "offset"])
+@pytest.mark.parametrize("screen", ["gram", "cut"])
+def test_cluster_geometry_matches_scipy_bit_for_bit(monkeypatch, screen, kind, n):
+    if screen == "gram":
+        monkeypatch.setattr(metrics, "_GRAM_SIZE", 2**62)
+        monkeypatch.setattr(metrics, "_BLOCK", 2**62)
+    else:
+        monkeypatch.setattr(metrics, "_GRAM_SIZE", 0)
+        monkeypatch.setattr(metrics, "_BLOCK", 97 * n)  # measure 97 pairs per call
+    for A, labels in _geometry_inputs(kind, n):
+        diam, dist = cluster_geometry_scipy(A, labels)
+        stats = cluster_geometry(A, labels)
+        assert np.array_equal(stats.diameters, diam)
+        assert np.array_equal(stats.pairwise_dist, dist)
+        assert stats.min_dist == dist[np.triu_indices(len(diam), k=1)].min()
+        # the K = 2 interval measures every cross pair of the centered rows
+        if len(diam) == 2:
+            ranks = first_occurrence_ranks(labels)
+            centered = A - A.mean(axis=0)
+            assert np.array_equal(_prepared(A, labels).cross_d2,
+                                  cdist(centered[ranks == 0], centered[ranks == 1], "sqeuclidean"))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_cluster_geometry_of_a_few_rows(m):
+    A = np.array([[0.0, 1.0], [3.0, 5.0], [3.0, 5.0]])[:m]
+    for labels in ([0, 1, 1][:m], [0, 0, 0][:m], [2, 1, 0][:m]):
+        labels = np.array(labels)
+        diam, dist = cluster_geometry_scipy(A, labels)
+        stats = cluster_geometry(A, labels)
+        assert np.array_equal(stats.diameters, diam) and np.array_equal(stats.pairwise_dist, dist)
+        assert stats.min_dist == (dist[0, 1] if dist.shape[0] >= 2 else np.inf)
+
+
+def test_cluster_geometry_cut_keeps_every_pair_it_cannot_rule_out():
+    # two clusters of the same rows +-e_q: every row is at distance 1 from
+    # both means, so no bound rules a pair out and the cut keeps them all
+    rows = np.vstack([np.eye(4), -np.eye(4)])
+    A, labels = np.vstack([rows, rows]), np.repeat([0, 1], 8)
+    kept = metrics._cut_pairs(A, labels, np.arange(16), np.array([0, 8]))
+    assert {tuple(p) for p in np.sort(kept, axis=1).tolist()} >= {tuple(p) for p in all_pairs(16).tolist()}
+    diam, dist = cluster_geometry_scipy(A, labels)
+    stats = cluster_geometry(A, labels)
+    assert stats.diameters.tolist() == [2.0, 2.0] and stats.min_dist == 0.0
+    assert np.array_equal(stats.diameters, diam) and np.array_equal(stats.pairwise_dist, dist)
 
 
 def test_exact_clustering_check_examples():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
 from convexcluster import core, extraction, solver
@@ -547,8 +548,10 @@ def test_one_solve_builds_one_system_matrix_and_one_transpose(monkeypatch):
     c = float(np.sqrt(max(feas.kappa_lower, feas.kappa_upper * 1e-6) * feas.kappa_upper))
     edges = gaussian_edges(A, r, "full")
     built = []
-    monkeypatch.setattr(solver, "sp", _CountingSparse(built))
-    monkeypatch.setattr(core, "sp", _CountingSparse(built))
+    # core and solver import scipy.sparse inside the functions that build
+    # matrices; "import scipy.sparse as sp" binds the scipy package's
+    # attribute, so the proxy stands in there
+    monkeypatch.setattr(scipy, "sparse", _CountingSparse(built))
     rounds = []
     real = core._components
 
